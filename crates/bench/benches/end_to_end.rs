@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::config::GpuConfig;
-use gsplat::preprocess::preprocess;
+use gsplat::preprocess::{preprocess, preprocess_into, PreprocessOpts, PreprocessScratch};
 use gsplat::scene::EVALUATED_SCENES;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
 use vrpipe::{FrameScratch, PipelineVariant, Renderer};
@@ -166,12 +166,19 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     let mut sw_scratch = SwScratch::default();
     let t_serial = time_median(
         || {
-            let pre = gsplat::preprocess::preprocess_with(
+            let mut splats = Vec::new();
+            let opts = PreprocessOpts {
+                policy: gsplat::par::ThreadPolicy::serial(),
+                ..Default::default()
+            };
+            preprocess_into(
                 &scene,
                 &cam,
-                gsplat::par::ThreadPolicy::serial(),
+                opts,
+                &mut PreprocessScratch::default(),
+                &mut splats,
             );
-            serial.render_with_scratch(&pre.splats, cam.width(), cam.height(), &mut sw_scratch);
+            serial.render_with_scratch(&splats, cam.width(), cam.height(), &mut sw_scratch);
         },
         7,
     );

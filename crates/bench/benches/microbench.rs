@@ -4,30 +4,20 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::microbench::{crop_cache_probe, tile_binning_probe};
-use gsplat::preprocess::{preprocess_into_stream, PreprocessScratch};
+use gsplat::preprocess::preprocess;
 use gsplat::scene::EVALUATED_SCENES;
 use gsplat::stream::{FragmentKernel, SplatStream};
-use gsplat::ThreadPolicy;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
 
 /// Fragment-kernel throughput: one warm frame loop per kernel, serial
 /// threading so the measurement isolates the kernel itself. Parity-gated.
-/// The SoA loop consumes the stream `preprocess_into_stream` produced, so
-/// it pays no per-frame re-layout.
+/// The SoA loop consumes a stream built once from the preprocessed splats,
+/// so it pays no per-frame re-layout.
 fn bench_fragment_kernel(c: &mut Criterion) {
     let scene = EVALUATED_SCENES[4].generate_scaled(0.08); // Lego
     let cam = scene.default_camera();
-    let mut pre_scratch = PreprocessScratch::default();
-    let mut splats = Vec::new();
-    let mut stream = SplatStream::new();
-    preprocess_into_stream(
-        &scene,
-        &cam,
-        ThreadPolicy::default(),
-        &mut pre_scratch,
-        &mut splats,
-        &mut stream,
-    );
+    let splats = preprocess(&scene, &cam).splats;
+    let stream = SplatStream::from_splats(&splats);
     let mut group = c.benchmark_group("fragment_kernel");
     group.sample_size(10);
     let mut parity: Option<gsplat::ColorBuffer> = None;

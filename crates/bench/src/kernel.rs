@@ -8,10 +8,9 @@
 use std::time::Instant;
 
 use gpu_sim::config::GpuConfig;
-use gsplat::preprocess::{preprocess_into_stream, PreprocessScratch};
+use gsplat::preprocess::preprocess;
 use gsplat::scene::EVALUATED_SCENES;
 use gsplat::stream::{FragmentKernel, SplatStream};
-use gsplat::ThreadPolicy;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
 use vrpipe::{FrameScratch, PipelineVariant, Renderer};
 
@@ -45,23 +44,14 @@ pub struct KernelMeasurement {
 }
 
 /// Measures both kernels on one scene spec, gating on bit-exact parity.
-/// The SoA stream comes straight out of `preprocess_into_stream`, so the
+/// The SoA stream is built once from the preprocessed splats, so the
 /// timed SoA loop pays no per-frame re-layout.
 pub fn measure_sw_kernels(spec_index: usize, scale: f32) -> KernelMeasurement {
     let spec = &EVALUATED_SCENES[spec_index];
     let scene = spec.generate_scaled(scale);
     let cam = scene.default_camera();
-    let mut pre_scratch = PreprocessScratch::default();
-    let mut splats = Vec::new();
-    let mut stream = SplatStream::new();
-    preprocess_into_stream(
-        &scene,
-        &cam,
-        ThreadPolicy::default(),
-        &mut pre_scratch,
-        &mut splats,
-        &mut stream,
-    );
+    let splats = preprocess(&scene, &cam).splats;
+    let stream = SplatStream::from_splats(&splats);
     let scalar = CudaLikeRenderer::new(SwConfig::default(), true);
     let soa = CudaLikeRenderer::new(
         SwConfig {

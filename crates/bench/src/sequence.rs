@@ -13,7 +13,7 @@ use gpu_sim::tiles::Tiling;
 use gsplat::camera::CameraPath;
 use gsplat::index::{CullState, CullStats, SceneIndex};
 use gsplat::math::Vec3;
-use gsplat::preprocess::{preprocess_into_indexed, preprocess_into_temporal, PreprocessScratch};
+use gsplat::preprocess::{preprocess_into, CullMode, PreprocessOpts, PreprocessScratch};
 use gsplat::scene::EVALUATED_SCENES;
 use gsplat::sort::{depth_key, radix_argsort_into, IncrementalSorter, SortScratch};
 use gsplat::stream::FragmentKernel;
@@ -100,6 +100,11 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
         .map(|i| path.camera(i, frames, w, h, fov))
         .collect();
     let policy = ThreadPolicy::default();
+    let temporal = || PreprocessOpts {
+        policy,
+        cull: CullMode::Full { temporal: true },
+        ..Default::default()
+    };
 
     // --- Parity gate: indexed == full, frame by frame, bit for bit. ---
     let index = SceneIndex::build(&scene.gaussians);
@@ -109,16 +114,13 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
     let mut indexed = Vec::new();
     let mut full = Vec::new();
     for (i, cam) in cams.iter().enumerate() {
-        let a = preprocess_into_indexed(
-            &scene,
-            cam,
+        let opts = PreprocessOpts {
             policy,
-            &index,
-            &mut cull,
-            &mut s_idx,
-            &mut indexed,
-        );
-        let b = preprocess_into_temporal(&scene, cam, policy, &mut s_full, &mut full);
+            cull: CullMode::Indexed(&index, &mut cull),
+            ..Default::default()
+        };
+        let a = preprocess_into(&scene, cam, opts, &mut s_idx, &mut indexed);
+        let b = preprocess_into(&scene, cam, temporal(), &mut s_full, &mut full);
         assert_eq!(a, b, "{}: frame {i} stats diverged", spec.name);
         assert_eq!(
             indexed, full,
@@ -148,22 +150,19 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
         let mut cull = CullState::default();
         let mut scratch = PreprocessScratch::default();
         for cam in &cams {
-            preprocess_into_indexed(
-                &scene,
-                cam,
+            let opts = PreprocessOpts {
                 policy,
-                &index,
-                &mut cull,
-                &mut scratch,
-                &mut indexed,
-            );
+                cull: CullMode::Indexed(&index, &mut cull),
+                ..Default::default()
+            };
+            preprocess_into(&scene, cam, opts, &mut scratch, &mut indexed);
         }
         indexed_ms = indexed_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
         let t0 = Instant::now();
         let mut scratch = PreprocessScratch::default();
         for cam in &cams {
-            preprocess_into_temporal(&scene, cam, policy, &mut scratch, &mut full);
+            preprocess_into(&scene, cam, temporal(), &mut scratch, &mut full);
         }
         full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
@@ -254,22 +253,20 @@ pub fn measure_sequence(spec_index: usize, scale: f32, frames: usize) -> Sequenc
     };
 
     // --- Sequence render + per-frame (key, id) capture, persistent
-    // scratch. The ids (stable `source` identities) are what the temporal
-    // production path sorts by, so the timing below replays it exactly.
+    // preprocess scratch. The ids (stable `source` identities) are what the
+    // temporal production path sorts by, so the timing below replays it
+    // exactly.
     let mut session = Session::default();
     let mut frame_keys: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(frames);
-    let mut draw_scratch = vrpipe::DrawScratch::default();
     let records = {
         let keys = &mut frame_keys;
-        let scratch = &mut draw_scratch;
         let gpu = &gpu;
         session.run(&scene, &seq_cfg, |f| {
             keys.push((
                 f.splats.iter().map(|s| depth_key(s.depth)).collect(),
                 f.splats.iter().map(|s| s.source).collect(),
             ));
-            vrpipe::try_draw_with_scratch(f.splats, w, h, gpu, PipelineVariant::HetQm, scratch)
-                .expect("valid config")
+            vrpipe::try_draw(f.splats, w, h, gpu, PipelineVariant::HetQm).expect("valid config")
         })
     };
 

@@ -49,10 +49,7 @@ pub mod variant;
 
 pub use cost::HardwareCost;
 pub use energy::EnergyModel;
-pub use pipeline::{
-    draw, draw_in_place, draw_with_scratch, try_draw, try_draw_in_place, try_draw_with_scratch,
-    DrawError, DrawOutput, DrawScratch,
-};
+pub use pipeline::{draw, try_draw, try_draw_in_place, DrawError, DrawOutput, DrawScratch};
 pub use renderer::{Frame, FrameScratch, Renderer, TimeBreakdown};
 pub use sequence::{FrameInput, SequenceConfig, SequenceFrameRecord, Session, SharedScene};
 pub use serve::degrade::{QualityLadder, QualityRung};

@@ -52,10 +52,9 @@ pub struct DrawOutput {
     pub stats: PipelineStats,
 }
 
-/// Why a draw call failed. Returned by the fallible
-/// [`try_draw`]/[`try_draw_with_scratch`]/[`try_draw_in_place`] entry
-/// points and by stream backends behind `vrpipe::serve`; the panicking
-/// [`draw`] family unwraps it.
+/// Why a draw call failed. Returned by the fallible [`try_draw`] and
+/// [`try_draw_in_place`] entry points and by stream backends behind
+/// `vrpipe::serve`; the panicking [`draw`] unwraps it.
 ///
 /// Implements [`std::error::Error`] + [`std::fmt::Display`], and
 /// [`DrawError::is_transient`] classifies errors for retry logic — user
@@ -217,46 +216,10 @@ pub fn try_draw(
     cfg: &GpuConfig,
     variant: PipelineVariant,
 ) -> Result<DrawOutput, DrawError> {
-    try_draw_with_scratch(
-        splats,
-        width,
-        height,
-        cfg,
-        variant,
-        &mut DrawScratch::default(),
-    )
-}
-
-/// [`draw`] reusing caller-owned scratch buffers across draw calls.
-///
-/// # Panics
-///
-/// Panics when the configuration fails [`GpuConfig::validate`]; use
-/// [`try_draw_with_scratch`] for the fallible form.
-pub fn draw_with_scratch(
-    splats: &[Splat],
-    width: u32,
-    height: u32,
-    cfg: &GpuConfig,
-    variant: PipelineVariant,
-    scratch: &mut DrawScratch,
-) -> DrawOutput {
-    // vrlint: allow(VL01, reason = "documented # Panics wrapper; frame loops use the try_ form")
-    try_draw_with_scratch(splats, width, height, cfg, variant, scratch).expect("draw rejected")
-}
-
-/// Fallible [`draw_with_scratch`].
-pub fn try_draw_with_scratch(
-    splats: &[Splat],
-    width: u32,
-    height: u32,
-    cfg: &GpuConfig,
-    variant: PipelineVariant,
-    scratch: &mut DrawScratch,
-) -> Result<DrawOutput, DrawError> {
     let mut color = ColorBuffer::new(width, height, cfg.pixel_format);
     let mut ds = DepthStencilBuffer::new(width, height);
-    let stats = try_draw_in_place(splats, cfg, variant, &mut color, &mut ds, scratch)?;
+    let mut scratch = DrawScratch::default();
+    let stats = try_draw_in_place(splats, cfg, variant, &mut color, &mut ds, &mut scratch)?;
     Ok(DrawOutput {
         color,
         depth_stencil: ds,
@@ -264,29 +227,11 @@ pub fn try_draw_with_scratch(
     })
 }
 
-/// [`draw`] into caller-owned render targets (cleared here), reusing
-/// `scratch` — the fully allocation-free frame-loop entry point.
-///
-/// # Panics
-///
-/// Panics when the configuration fails [`GpuConfig::validate`] or when the
-/// color and depth/stencil dimensions disagree; use [`try_draw_in_place`]
-/// for the fallible form.
-pub fn draw_in_place(
-    splats: &[Splat],
-    cfg: &GpuConfig,
-    variant: PipelineVariant,
-    color: &mut ColorBuffer,
-    ds: &mut DepthStencilBuffer,
-    scratch: &mut DrawScratch,
-) -> PipelineStats {
-    // vrlint: allow(VL01, reason = "documented # Panics wrapper; frame loops use the try_ form")
-    try_draw_in_place(splats, cfg, variant, color, ds, scratch).expect("draw rejected")
-}
-
-/// Fallible [`draw_in_place`]: rejects invalid configurations and
-/// mismatched render targets as a [`DrawError`] before any pipeline state
-/// is touched, instead of panicking mid-frame-loop.
+/// [`try_draw`] into caller-owned render targets (cleared here), reusing
+/// `scratch` — the fully allocation-free frame-loop entry point. Rejects
+/// invalid configurations and mismatched render targets as a
+/// [`DrawError`] before any pipeline state is touched, instead of
+/// panicking mid-frame-loop.
 // vrlint: hot
 pub fn try_draw_in_place(
     splats: &[Splat],
@@ -998,12 +943,15 @@ mod tests {
     fn scratch_reuse_matches_fresh_draws() {
         let splats = stacked_splats(35, 0.4);
         let mut scratch = DrawScratch::default();
+        let mut color = ColorBuffer::new(32, 32, cfg().pixel_format);
+        let mut ds = DepthStencilBuffer::new(32, 32);
         for v in PipelineVariant::ALL {
             let fresh = draw(&splats, 32, 32, &cfg(), v);
-            let reused = draw_with_scratch(&splats, 32, 32, &cfg(), v, &mut scratch);
-            assert_eq!(reused.stats, fresh.stats, "{v}");
-            assert_eq!(reused.color.max_abs_diff(&fresh.color), 0.0, "{v}");
-            assert_eq!(reused.depth_stencil, fresh.depth_stencil, "{v}");
+            let reused =
+                try_draw_in_place(&splats, &cfg(), v, &mut color, &mut ds, &mut scratch).unwrap();
+            assert_eq!(reused, fresh.stats, "{v}");
+            assert_eq!(color.max_abs_diff(&fresh.color), 0.0, "{v}");
+            assert_eq!(ds, fresh.depth_stencil, "{v}");
         }
     }
 
@@ -1130,12 +1078,12 @@ mod tests {
         let err = try_draw(&splats, 32, 32, &bad, PipelineVariant::Baseline).unwrap_err();
         assert!(matches!(err, DrawError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("TC unit"), "{err}");
-        let err2 = try_draw_with_scratch(
+        let err2 = try_draw_in_place(
             &splats,
-            32,
-            32,
             &bad,
             PipelineVariant::Het,
+            &mut ColorBuffer::new(32, 32, bad.pixel_format),
+            &mut DepthStencilBuffer::new(32, 32),
             &mut DrawScratch::default(),
         )
         .unwrap_err();
@@ -1220,14 +1168,15 @@ mod tests {
         let mut scratch = DrawScratch::default();
         let fresh = draw(&splats, 32, 32, &cfg(), PipelineVariant::HetQm);
         for _ in 0..3 {
-            let stats = draw_in_place(
+            let stats = try_draw_in_place(
                 &splats,
                 &cfg(),
                 PipelineVariant::HetQm,
                 &mut color,
                 &mut ds,
                 &mut scratch,
-            );
+            )
+            .unwrap();
             assert_eq!(stats, fresh.stats);
             assert_eq!(color.max_abs_diff(&fresh.color), 0.0);
             assert_eq!(ds, fresh.depth_stencil);

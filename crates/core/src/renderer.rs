@@ -5,13 +5,13 @@
 use gpu_sim::config::GpuConfig;
 use gpu_sim::stats::PipelineStats;
 use gsplat::camera::Camera;
-use gsplat::framebuffer::ColorBuffer;
-use gsplat::preprocess::{preprocess_into, PreprocessScratch, PreprocessStats};
+use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
+use gsplat::preprocess::{preprocess_into, PreprocessOpts, PreprocessScratch, PreprocessStats};
 use gsplat::scene::Scene;
 use gsplat::splat::Splat;
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{draw_with_scratch, DrawScratch};
+use crate::pipeline::{try_draw_in_place, DrawScratch};
 use crate::variant::PipelineVariant;
 
 /// Per-gaussian preprocessing cost on the reference edge GPU (ms per
@@ -108,6 +108,10 @@ impl Renderer {
     /// is proportional to pixels × depth complexity, both scaling with
     /// `scale²`); preprocessing and sorting scale with the full Gaussian
     /// count directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configuration fails [`GpuConfig::validate`].
     pub fn render(&self, scene: &Scene, camera: &Camera) -> Frame {
         self.render_with(scene, camera, &mut FrameScratch::default())
     }
@@ -116,33 +120,44 @@ impl Renderer {
     /// frame loop's intermediates (projection chunks, sort keys, raster
     /// quads, per-flush staging) allocate nothing after the first frame;
     /// only the returned frame's image buffers are fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configuration fails [`GpuConfig::validate`].
     pub fn render_with(&self, scene: &Scene, camera: &Camera, scratch: &mut FrameScratch) -> Frame {
+        let opts = PreprocessOpts {
+            policy: self.cfg.thread_policy(),
+            ..Default::default()
+        };
         let pre_stats = preprocess_into(
             scene,
             camera,
-            self.cfg.thread_policy(),
+            opts,
             &mut scratch.preprocess,
             &mut scratch.splats,
         );
-        let out = draw_with_scratch(
+        let mut color = ColorBuffer::new(camera.width(), camera.height(), self.cfg.pixel_format);
+        let mut ds = DepthStencilBuffer::new(camera.width(), camera.height());
+        let stats = try_draw_in_place(
             &scratch.splats,
-            camera.width(),
-            camera.height(),
             &self.cfg,
             self.variant,
+            &mut color,
+            &mut ds,
             &mut scratch.draw,
-        );
+        )
+        .expect("draw rejected");
         let scale2 = (scene.scale as f64) * (scene.scale as f64);
         let full_gaussians = scene.spec.gaussians as f64;
         let full_visible = pre_stats.visible_splats as f64 / scale2;
         let time = TimeBreakdown {
             preprocess_ms: full_gaussians * PREPROCESS_MS_PER_GAUSSIAN,
             sort_ms: full_visible * SORT_MS_PER_SPLAT,
-            rasterize_ms: self.cfg.cycles_to_ms(out.stats.total_cycles) / scale2,
+            rasterize_ms: self.cfg.cycles_to_ms(stats.total_cycles) / scale2,
         };
         Frame {
-            color: out.color,
-            stats: out.stats,
+            color,
+            stats,
             preprocess: pre_stats,
             time,
         }

@@ -31,9 +31,7 @@ use gsplat::camera::{Camera, CameraPath};
 use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
 use gsplat::index::{cloud_fingerprint, CullState, CullStats, SceneIndex};
 use gsplat::preprocess::{
-    preprocess_into_clamped, preprocess_into_indexed_batched_clamped,
-    preprocess_into_indexed_clamped, preprocess_into_temporal_clamped, PreprocessScratch,
-    PreprocessStats,
+    preprocess_into, CullMode, PreprocessOpts, PreprocessScratch, PreprocessStats,
 };
 use gsplat::scene::Scene;
 use gsplat::sort::ResortStats;
@@ -382,7 +380,7 @@ impl Session {
     ///
     /// Panics when `cfg.indexed` is unset, no index was prepared, or the
     /// camera falls outside the batch round (see
-    /// [`gsplat::preprocess::preprocess_into_indexed_batched`]).
+    /// [`gsplat::preprocess::CullMode::Batched`]).
     // vrlint: hot
     pub fn render_frame_batched<R>(
         &mut self,
@@ -405,68 +403,36 @@ impl Session {
         scene: &Scene,
         cfg: &SequenceConfig,
         index: usize,
-        batch: Option<&mut BatchCullState>,
+        mut batch: Option<&mut BatchCullState>,
         render: impl FnOnce(FrameInput<'_>) -> R,
     ) -> R {
         let camera = cfg
             .path
             .camera(index, cfg.frames, cfg.width, cfg.height, cfg.fov_y);
-        let (preprocess, cull) = match batch {
-            Some(batch) => {
-                let before = batch.stats();
-                let preprocess = preprocess_into_indexed_batched_clamped(
-                    scene,
-                    &camera,
-                    self.policy,
-                    self.index
-                        .as_ref()
-                        // vrlint: allow(VL01, reason = "documented precondition: prepare()/prepare_shared() builds the index before any indexed frame")
-                        .expect("indexed sequence: call prepare()/prepare_shared() first"),
-                    batch,
-                    &mut self.pre,
-                    &mut self.splats,
-                    cfg.max_sh_degree,
-                );
-                (preprocess, batch.stats().delta_since(&before))
-            }
-            None => {
-                let cull_before = self.cull.stats();
-                let preprocess = if cfg.indexed {
-                    preprocess_into_indexed_clamped(
-                        scene,
-                        &camera,
-                        self.policy,
-                        self.index
-                            .as_ref()
-                            // vrlint: allow(VL01, reason = "documented precondition: prepare()/prepare_shared() builds the index before any indexed frame")
-                            .expect("indexed sequence: call prepare()/prepare_shared() first"),
-                        &mut self.cull,
-                        &mut self.pre,
-                        &mut self.splats,
-                        cfg.max_sh_degree,
-                    )
-                } else if cfg.temporal {
-                    preprocess_into_temporal_clamped(
-                        scene,
-                        &camera,
-                        self.policy,
-                        &mut self.pre,
-                        &mut self.splats,
-                        cfg.max_sh_degree,
-                    )
-                } else {
-                    preprocess_into_clamped(
-                        scene,
-                        &camera,
-                        self.policy,
-                        &mut self.pre,
-                        &mut self.splats,
-                        cfg.max_sh_degree,
-                    )
-                };
-                (preprocess, self.cull.stats().delta_since(&cull_before))
-            }
+        let scene_index = || {
+            self.index
+                .as_deref()
+                // vrlint: allow(VL01, reason = "documented precondition: prepare()/prepare_shared() builds the index before any indexed frame")
+                .expect("indexed sequence: call prepare()/prepare_shared() first")
         };
+        // A batched frame's counters come from the shared batch state, a
+        // solo frame's from this session's own cull state.
+        let before = batch.as_ref().map_or(self.cull.stats(), |b| b.stats());
+        let cull = match batch.as_deref_mut() {
+            Some(batch) => CullMode::Batched(scene_index(), batch),
+            None if cfg.indexed => CullMode::Indexed(scene_index(), &mut self.cull),
+            None => CullMode::Full {
+                temporal: cfg.temporal,
+            },
+        };
+        let opts = PreprocessOpts {
+            policy: self.policy,
+            max_sh_degree: cfg.max_sh_degree,
+            cull,
+        };
+        let preprocess = preprocess_into(scene, &camera, opts, &mut self.pre, &mut self.splats);
+        let after = batch.as_ref().map_or(self.cull.stats(), |b| b.stats());
+        let cull = after.delta_since(&before);
         if self.build_stream {
             self.stream.rebuild_from(&self.splats);
         } else {

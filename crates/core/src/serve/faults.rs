@@ -37,6 +37,8 @@
 
 use std::time::Duration;
 
+use gsplat::asset::faults::splitmix;
+
 use crate::pipeline::DrawError;
 
 /// One injectable fault kind (see the module docs for semantics).
@@ -102,15 +104,6 @@ pub struct PlannedFault {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<PlannedFault>,
-}
-
-/// SplitMix64 step — the repo's standard seeded stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {

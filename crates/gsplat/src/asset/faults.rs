@@ -70,8 +70,9 @@ impl Corruption {
     }
 }
 
-/// SplitMix64 step — the repo's standard seeded stream.
-fn splitmix(state: &mut u64) -> u64 {
+/// SplitMix64 step — the repo's standard seeded stream, shared by the
+/// seeded asset-corruption plans here and the seeded serve fault plans.
+pub fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

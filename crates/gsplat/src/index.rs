@@ -92,7 +92,8 @@ impl Cell {
 /// camera-invariant projection head.
 ///
 /// Built once per scene with [`SceneIndex::build`]; consumed by
-/// [`crate::preprocess::preprocess_into_indexed`] together with a
+/// [`crate::preprocess::preprocess_into`] in
+/// [`crate::preprocess::CullMode::Indexed`] mode together with a
 /// per-session [`CullState`].
 ///
 /// # Examples

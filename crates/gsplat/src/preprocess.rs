@@ -7,11 +7,17 @@
 //! and VR-Pipe — consumes the same output, mirroring the paper's setup where
 //! only the rasterization step differs.
 //!
-//! Projection is embarrassingly parallel, so [`preprocess_with`] fans the
-//! Gaussian list out over worker chunks and concatenates the surviving
-//! splats in chunk order — bit-exact with the serial sweep. With a reusable
-//! [`PreprocessScratch`] the whole stage (projection, keying, fused radix
-//! sort, reorder) allocates nothing once warmed up.
+//! [`preprocess_into`] is the one frame-loop entry: a [`PreprocessOpts`]
+//! value picks the thread policy, the SH cap and the [`CullMode`], and
+//! every combination emits the same bits. Projection is embarrassingly
+//! parallel, so it fans the Gaussian list out over worker chunks and
+//! concatenates the surviving splats in chunk order — bit-exact with the
+//! serial sweep. With a reusable [`PreprocessScratch`] the whole stage
+//! (projection, keying, fused radix sort, reorder) allocates nothing once
+//! warmed up.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -27,7 +33,6 @@ use crate::scene::Scene;
 use crate::sh::MAX_SH_DEGREE;
 use crate::sort::{sort_splats_by_depth_into, IncrementalSorter, ResortStats, SortScratch};
 use crate::splat::Splat;
-use crate::stream::SplatStream;
 
 /// Output of preprocessing: visible splats in front-to-back order, plus the
 /// work counters the cost models consume.
@@ -54,59 +59,153 @@ pub struct PreprocessStats {
     pub total_obb_area: f64,
 }
 
-/// Reusable buffers for the preprocessing stage: per-worker projection
-/// outputs, the unsorted splat staging list, depth keys and the fused-sort
-/// scratch.
+/// How [`preprocess_into`] finds the visible Gaussians. Each mode borrows
+/// the cross-frame state it replays, so a mode cannot be asked for without
+/// its state; every mode emits the same splats, order and
+/// [`PreprocessStats`] — only the work to produce them differs.
+#[derive(Debug)]
+pub enum CullMode<'a> {
+    /// Test every Gaussian against the frustum. With `temporal` the depth
+    /// sort warm-starts from the previous call's near-sorted order through
+    /// the scratch's [`IncrementalSorter`] (insertion-repair fast path,
+    /// fused-radix fallback); the output is bit-exact with the cold sort.
+    /// Use [`PreprocessScratch::resort_stats`] to observe the
+    /// repair/fallback mix and [`PreprocessScratch::invalidate_temporal`]
+    /// on scene cuts.
+    Full {
+        /// Warm-start the depth sort from the previous call.
+        temporal: bool,
+    },
+    /// Incremental, spatially indexed culling for coherent frame sequences.
+    /// Per frame the scene's grid cells ([`SceneIndex`]) are classified
+    /// against the frustum; fully-outside cells are skipped wholesale,
+    /// fully-inside cells skip the per-Gaussian cull test, and the
+    /// covariance product `W Σ Wᵀ` of every visible Gaussian is replayed
+    /// from the [`CullState`] cache whenever the camera delta is a pure
+    /// translation ([`Camera::is_translation_of`]). Splats are emitted in
+    /// scene order and the depth sort always warm-starts, as
+    /// `Full { temporal: true }` does. [`CullState::stats`] reports what was
+    /// skipped.
+    ///
+    /// The index must be built from this scene's cloud: a length mismatch
+    /// panics on every call, and a content (fingerprint) mismatch panics on
+    /// the first frame after the state (re)pairs with the index — the
+    /// full-content check is `O(scene)` and runs once per pairing, so an
+    /// **in-place** mutation of the cloud after pairing goes undetected
+    /// (rebuild the index, or use [`CullState::invalidate`] plus a fresh
+    /// [`SceneIndex`], after mutating).
+    Indexed(&'a SceneIndex, &'a mut CullState),
+    /// One member's sweep of a **batched** round — bit-exact with the
+    /// member's solo `Indexed` run. The caller owns the round:
+    /// [`BatchCullState::begin_round`] must have admitted the camera
+    /// (leader or proven translation-bound member), after which M member
+    /// sweeps share the round's single widened classification and the
+    /// group-wide `W Σ Wᵀ` cache — the covariance product depends on the
+    /// camera only through the view rotation, which the bound makes
+    /// bit-identical across the group. Everything genuinely per-camera
+    /// (sphere tests in `Boundary` cells, the projection tail, SH color,
+    /// the warm-started depth sort over the member's own scratch) runs with
+    /// the member's own [`FrameTransform`]. Mixed SH caps within one batch
+    /// are sound: the shared verdicts and covariance cache are geometric
+    /// (cap-invariant), and the cap rides each member's own frame transform.
+    ///
+    /// Panics on an index/cloud mismatch (as `Indexed`), when the state was
+    /// not paired with this index by `begin_round`, or when the camera is
+    /// not admitted by the current round — unprovable deltas must take the
+    /// solo path.
+    Batched(&'a SceneIndex, &'a mut BatchCullState),
+}
+
+/// The options of one [`preprocess_into`] call. The default is what
+/// [`preprocess`] runs: the default thread policy, no SH cap and a full
+/// cull with a cold sort.
+#[derive(Debug)]
+pub struct PreprocessOpts<'a> {
+    /// Host threading of the projection sweep; results are bit-exact for
+    /// every policy.
+    pub policy: ThreadPolicy,
+    /// SH evaluation degree cap (the quality-ladder color knob). Bit-exact
+    /// with an uncapped run over a scene whose SH coefficients were
+    /// truncated to the same degree; [`MAX_SH_DEGREE`] is the identity.
+    /// The index's degree-0 color cache is cap-invariant, so the indexed
+    /// modes stay bit-exact under any cap.
+    pub max_sh_degree: u8,
+    /// The culling mode and the cross-frame state it replays.
+    pub cull: CullMode<'a>,
+}
+
+impl Default for PreprocessOpts<'_> {
+    fn default() -> Self {
+        Self {
+            policy: ThreadPolicy::default(),
+            max_sh_degree: MAX_SH_DEGREE,
+            cull: CullMode::Full { temporal: false },
+        }
+    }
+}
+
+/// Visible splats in emission (pre-sort) order plus their sort keys,
+/// filled at emission so the sort never makes a second pass over the
+/// 64-byte splats.
 #[derive(Debug, Default)]
-pub struct PreprocessScratch {
-    /// Per-worker projected-splat chunks (kept allocated across frames).
-    worker_out: Vec<Vec<Splat>>,
-    /// Per-worker `(depth, source)` key chunks, filled at emission so the
-    /// sort keys never need a second pass over the 64-byte splats.
-    worker_keys: Vec<(Vec<f32>, Vec<u32>)>,
-    /// Visible splats in input (pre-sort) order.
-    staging: Vec<Splat>,
-    /// Camera-space depths of `staging`.
+struct Staging {
+    splats: Vec<Splat>,
+    /// Camera-space depths of `splats`.
     depths: Vec<f32>,
-    /// Front-to-back permutation of `staging`.
-    order: Vec<u32>,
-    /// Stable splat identities (`source`) of `staging`, for the temporal
+    /// Stable splat identities (`source`) of `splats`, for the temporal
     /// warm start.
     ids: Vec<u32>,
+}
+
+impl Staging {
+    fn clear(&mut self) {
+        self.splats.clear();
+        self.depths.clear();
+        self.ids.clear();
+    }
+
+    /// Both key streams are pushed unconditionally — the cold sort never
+    /// reads `ids`, but one u32 push per visible splat is cheaper than
+    /// splitting the emission loops per sort mode.
+    #[inline]
+    fn push(&mut self, s: Splat) {
+        self.depths.push(s.depth);
+        self.ids.push(s.source);
+        self.splats.push(s);
+    }
+
+    /// Moves `chunk` onto the end, leaving it empty.
+    fn append(&mut self, chunk: &mut Staging) {
+        self.splats.append(&mut chunk.splats);
+        self.depths.append(&mut chunk.depths);
+        self.ids.append(&mut chunk.ids);
+    }
+}
+
+/// Reusable buffers for the preprocessing stage: per-worker projection
+/// outputs, the unsorted splat staging list with its keys and the
+/// fused-sort scratch.
+#[derive(Debug, Default)]
+pub struct PreprocessScratch {
+    /// Per-worker emission chunks (kept allocated across frames).
+    chunks: Vec<Staging>,
+    /// This frame's visible splats and keys in input (pre-sort) order.
+    staging: Staging,
+    /// Front-to-back permutation of `staging`.
+    order: Vec<u32>,
     /// Radix-sort buffers.
     sort: SortScratch,
-    /// Warm-start sorter for [`preprocess_into_temporal`] frame loops.
+    /// Warm-start sorter for the warm-started [`preprocess_into`] modes
+    /// (temporal full culls and both indexed modes).
     sorter: IncrementalSorter,
 }
 
 impl PreprocessScratch {
     /// Counters of the incremental re-sort (frames repaired vs radix
-    /// fallbacks), accumulated across [`preprocess_into_temporal`] calls.
+    /// fallbacks), accumulated across warm-started [`preprocess_into`]
+    /// calls.
     pub fn resort_stats(&self) -> ResortStats {
         self.sorter.stats()
-    }
-
-    /// Resets the per-frame staging buffers (splats + fused key streams).
-    fn clear_staging(&mut self) {
-        self.staging.clear();
-        self.depths.clear();
-        self.ids.clear();
-    }
-
-    /// Concatenates the per-worker splat and key chunks in chunk order —
-    /// identical to the serial emission order.
-    fn merge_worker_chunks(&mut self) {
-        for (chunk_out, chunk_keys) in self.worker_out.iter_mut().zip(&mut self.worker_keys) {
-            self.depths.append(&mut chunk_keys.0);
-            self.ids.append(&mut chunk_keys.1);
-            self.staging.append(chunk_out);
-        }
-    }
-
-    /// Disjoint borrows of the staging splat list and its fused key
-    /// streams, for emission loops that fill all three in lockstep.
-    fn staging_parts(&mut self) -> (&mut Vec<Splat>, &mut Vec<f32>, &mut Vec<u32>) {
-        (&mut self.staging, &mut self.depths, &mut self.ids)
     }
 
     /// Forgets the temporal warm-start order, e.g. on a scene or camera
@@ -131,160 +230,211 @@ impl PreprocessScratch {
 /// assert!(out.splats.windows(2).all(|w| w[0].depth <= w[1].depth));
 /// ```
 pub fn preprocess(scene: &Scene, camera: &Camera) -> PreprocessOutput {
-    preprocess_with(scene, camera, ThreadPolicy::default())
-}
-
-/// [`preprocess`] with the SH evaluation degree capped at `max_sh_degree`
-/// (the quality-ladder color knob). Bit-exact with [`preprocess`] on a
-/// scene whose SH coefficients were truncated to the same degree; a cap of
-/// [`MAX_SH_DEGREE`] is the identity.
-pub fn preprocess_clamped(scene: &Scene, camera: &Camera, max_sh_degree: u8) -> PreprocessOutput {
-    let mut scratch = PreprocessScratch::default();
     let mut splats = Vec::new();
-    let stats = preprocess_into_clamped(
+    let stats = preprocess_into(
         scene,
         camera,
-        ThreadPolicy::default(),
-        &mut scratch,
+        PreprocessOpts::default(),
+        &mut PreprocessScratch::default(),
         &mut splats,
-        max_sh_degree,
     );
     PreprocessOutput { splats, stats }
 }
 
-/// [`preprocess`] with an explicit threading policy.
-pub fn preprocess_with(scene: &Scene, camera: &Camera, policy: ThreadPolicy) -> PreprocessOutput {
-    let mut scratch = PreprocessScratch::default();
-    let mut splats = Vec::new();
-    let stats = preprocess_into(scene, camera, policy, &mut scratch, &mut splats);
-    PreprocessOutput { splats, stats }
-}
-
-/// [`preprocess`] into caller-provided buffers — the allocation-free frame
-/// loop entry point. `out` is cleared and refilled with the sorted splats.
+/// [`preprocess`] under explicit options into caller-provided buffers —
+/// the allocation-free frame-loop entry point. `out` is cleared and
+/// refilled with the sorted splats. Every [`CullMode`] and thread policy
+/// produces the same splats, order and stats; see [`CullMode`] for what
+/// each mode replays and when the indexed modes panic.
+///
+/// # Examples
+///
+/// ```
+/// use gsplat::index::{CullState, SceneIndex};
+/// use gsplat::preprocess::{preprocess_into, CullMode, PreprocessOpts, PreprocessScratch};
+/// use gsplat::scene::EVALUATED_SCENES;
+/// let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
+/// let cam = scene.default_camera();
+/// let index = SceneIndex::build(&scene.gaussians);
+/// let mut cull = CullState::default();
+/// let (mut s1, mut s2) = (PreprocessScratch::default(), PreprocessScratch::default());
+/// let (mut indexed, mut full) = (Vec::new(), Vec::new());
+/// let opts = PreprocessOpts {
+///     cull: CullMode::Indexed(&index, &mut cull),
+///     ..Default::default()
+/// };
+/// let a = preprocess_into(&scene, &cam, opts, &mut s1, &mut indexed);
+/// let b = preprocess_into(&scene, &cam, PreprocessOpts::default(), &mut s2, &mut full);
+/// assert_eq!(a, b);
+/// assert_eq!(indexed, full);
+/// ```
 // vrlint: hot
 pub fn preprocess_into(
     scene: &Scene,
     camera: &Camera,
-    policy: ThreadPolicy,
+    opts: PreprocessOpts<'_>,
     scratch: &mut PreprocessScratch,
     out: &mut Vec<Splat>,
 ) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, false, MAX_SH_DEGREE)
-}
-
-/// [`preprocess_into`] with the SH evaluation degree capped at
-/// `max_sh_degree`.
-// vrlint: hot
-pub fn preprocess_into_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, false, max_sh_degree)
-}
-
-/// [`preprocess_into`] for temporally coherent frame sequences: the depth
-/// sort warm-starts from the previous call's near-sorted order through the
-/// scratch's [`IncrementalSorter`] (insertion-repair fast path, fused-radix
-/// fallback). The sorted output is **bit-exact** with [`preprocess_into`]
-/// for every frame — only the sorting cost changes. Use
-/// [`PreprocessScratch::resort_stats`] to observe the repair/fallback mix
-/// and [`PreprocessScratch::invalidate_temporal`] on scene cuts.
-// vrlint: hot
-pub fn preprocess_into_temporal(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, true, MAX_SH_DEGREE)
-}
-
-/// [`preprocess_into_temporal`] with the SH evaluation degree capped at
-/// `max_sh_degree`.
-// vrlint: hot
-pub fn preprocess_into_temporal_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, true, max_sh_degree)
-}
-
-// vrlint: hot
-#[allow(clippy::too_many_arguments)]
-fn preprocess_into_impl(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    temporal: bool,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    let n = scene.gaussians.len();
-    let workers = policy.workers(n);
-    scratch.clear_staging();
+    let n = scene.len();
+    let workers = opts.policy.workers(n);
     // Hoist the camera constants out of the per-Gaussian loop; every
     // worker shares the same precomputed frame transform.
-    let frame = FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
-
-    if workers <= 1 {
-        // Both key streams are pushed unconditionally — the non-temporal
-        // sort never reads `ids`, but one u32 push per visible splat is
-        // cheaper than splitting the emission loop per sort mode.
-        for (i, g) in scene.gaussians.iter().enumerate() {
-            if let Some(s) = project_gaussian_frame(g, &frame, i as u32) {
-                scratch.depths.push(s.depth);
-                scratch.ids.push(s.source);
-                scratch.staging.push(s);
-            }
-        }
-    } else {
-        let parts = chunked_ranges_mut::<()>(n, workers, &mut []);
-        // Exactly one (splat, key) chunk pair per spawned part: a shorter
-        // part list must not leave stale chunks for the merge to pick up.
-        // vrlint: allow(VL02, reason = "Vec::new allocates nothing; resize_with grows the worker table only on first use or a worker-count change")
-        scratch.worker_out.resize_with(parts.len(), Vec::new);
-        scratch
-            .worker_keys
-            .resize_with(parts.len(), Default::default);
-        std::thread::scope(|s| {
-            for (((range, _), chunk_out), chunk_keys) in parts
-                .into_iter()
-                .zip(scratch.worker_out.iter_mut())
-                .zip(scratch.worker_keys.iter_mut())
-            {
-                let gaussians = &scene.gaussians;
-                let frame = &frame;
-                s.spawn(move || {
-                    chunk_out.clear();
-                    chunk_keys.0.clear();
-                    chunk_keys.1.clear();
-                    let start = range.start;
-                    // vrlint: allow(VL01[index], reason = "chunk ranges partition 0..gaussians.len() by construction")
-                    for (k, g) in gaussians[range].iter().enumerate() {
-                        if let Some(s) = project_gaussian_frame(g, frame, (start + k) as u32) {
-                            chunk_keys.0.push(s.depth);
-                            chunk_keys.1.push(s.source);
-                            chunk_out.push(s);
-                        }
+    let frame = FrameTransform::new(camera).with_max_sh_degree(opts.max_sh_degree);
+    scratch.staging.clear();
+    let temporal = match opts.cull {
+        CullMode::Full { temporal } => {
+            let (gaussians, frame) = (&scene.gaussians, &frame);
+            fan_out(scratch, n, workers, &mut [], |range, _: &mut [()], out| {
+                let start = range.start;
+                // vrlint: allow(VL01[index], reason = "chunk ranges partition 0..gaussians.len() by construction")
+                for (k, g) in gaussians[range].iter().enumerate() {
+                    if let Some(s) = project_gaussian_frame(g, frame, (start + k) as u32) {
+                        out.push(s);
                     }
-                });
-            }
-        });
-        scratch.merge_worker_chunks();
-    }
+                }
+                (0, 0)
+            });
+            temporal
+        }
+        CullMode::Indexed(index, cull) => {
+            check_index(scene, index, cull.paired_with() != index.fingerprint());
+            cull.begin_frame(index, &frame, camera);
+            let (refreshed, reprojected) = project_indexed(
+                scene,
+                index,
+                &frame,
+                cull.projection_parts(),
+                workers,
+                scratch,
+            );
+            cull.record_projection(refreshed, reprojected);
+            // The indexed path is inherently temporal: it exists for
+            // coherent frame streams, so it always feeds the id-keyed
+            // warm-started sort.
+            true
+        }
+        CullMode::Batched(index, batch) => {
+            assert_eq!(
+                batch.paired_with(),
+                index.fingerprint(),
+                "batch state not paired with this index (begin_round not called)"
+            );
+            check_index(scene, index, !batch.content_checked());
+            batch.mark_content_checked();
+            assert!(
+                batch.admits(camera),
+                "camera not admitted by the current batch round — unprovable deltas take the solo path"
+            );
+            let (refreshed, reprojected) = project_indexed(
+                scene,
+                index,
+                &frame,
+                batch.projection_parts(),
+                workers,
+                scratch,
+            );
+            batch.record_projection(refreshed, reprojected);
+            // Same warm-started id-keyed sort as the solo indexed path,
+            // over the member's own scratch: the per-stream sorter sequence
+            // is preserved whether a frame was served batched or solo.
+            true
+        }
+    };
+    finish_preprocess(n, scratch, out, temporal)
+}
 
-    finish_preprocess(scene.len(), scratch, out, temporal)
+/// The indexed modes' guard that `index` describes this cloud: the O(1)
+/// length check on every frame, plus the `O(scene)` content check when
+/// `check_content` is set — once per pairing; steady-state frames skip it.
+fn check_index(scene: &Scene, index: &SceneIndex, check_content: bool) {
+    assert_eq!(
+        index.len(),
+        scene.len(),
+        "spatial index built for a different cloud size"
+    );
+    if check_content {
+        assert_eq!(
+            index.fingerprint(),
+            crate::index::cloud_fingerprint(&scene.gaussians),
+            "spatial index built for a different scene"
+        );
+    }
+}
+
+/// Runs `project` over the Gaussians `0..n` into the scratch staging:
+/// in one call on the caller's thread, or split into `workers`
+/// contiguous chunks on scoped threads whose outputs are concatenated in
+/// chunk order — identical to the serial emission order. `state` (empty,
+/// or one entry per Gaussian) is split into the window matching each
+/// chunk. Returns the summed `(refreshed, reprojected)` counters.
+// vrlint: hot
+fn fan_out<S: Send>(
+    scratch: &mut PreprocessScratch,
+    n: usize,
+    workers: usize,
+    state: &mut [S],
+    project: impl Fn(Range<usize>, &mut [S], &mut Staging) -> (u64, u64) + Sync,
+) -> (u64, u64) {
+    if workers <= 1 {
+        return project(0..n, state, &mut scratch.staging);
+    }
+    let parts = chunked_ranges_mut(n, workers, state);
+    // Exactly one chunk per spawned part: a shorter part list must not
+    // leave stale chunks for the merge to pick up. Growing the table
+    // happens only on first use or a worker-count change.
+    scratch.chunks.resize_with(parts.len(), Default::default);
+    // Integer sums commute, so the totals do not depend on which worker
+    // finishes first — and no per-frame handle list is needed to join.
+    let (refreshed, reprojected) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        for ((range, state), chunk) in parts.into_iter().zip(&mut scratch.chunks) {
+            let (project, refreshed, reprojected) = (&project, &refreshed, &reprojected);
+            s.spawn(move || {
+                chunk.clear();
+                let (r, p) = project(range, state, chunk);
+                refreshed.fetch_add(r, Ordering::Relaxed);
+                reprojected.fetch_add(p, Ordering::Relaxed);
+            });
+        }
+    });
+    // Chunk-order concatenation == serial emission order.
+    for chunk in &mut scratch.chunks {
+        scratch.staging.append(chunk);
+    }
+    (refreshed.into_inner(), reprojected.into_inner())
+}
+
+/// The projection sweep shared by [`CullMode::Indexed`] and
+/// [`CullMode::Batched`]: fans [`project_indexed_range`] out over the
+/// classification, covariance cache and epoch of `parts` (the state's
+/// `projection_parts`), returning `(refreshed, reprojected)`.
+fn project_indexed(
+    scene: &Scene,
+    index: &SceneIndex,
+    frame: &FrameTransform,
+    (classes, mcache, epoch): (&[CellClass], &mut [CovCacheEntry], u32),
+    workers: usize,
+    scratch: &mut PreprocessScratch,
+) -> (u64, u64) {
+    fan_out(
+        scratch,
+        scene.len(),
+        workers,
+        mcache,
+        |range, mstate, out| {
+            project_indexed_range(
+                &scene.gaussians,
+                index,
+                frame,
+                classes,
+                epoch,
+                range,
+                mstate,
+                out,
+            )
+        },
+    )
 }
 
 /// The shared sort-and-emit tail of every preprocess path: the
@@ -296,25 +446,26 @@ fn finish_preprocess(
     out: &mut Vec<Splat>,
     temporal: bool,
 ) -> PreprocessStats {
-    debug_assert_eq!(scratch.depths.len(), scratch.staging.len());
-    debug_assert_eq!(scratch.ids.len(), scratch.staging.len());
+    let staging = &scratch.staging;
+    debug_assert_eq!(staging.depths.len(), staging.splats.len());
+    debug_assert_eq!(staging.ids.len(), staging.splats.len());
     if temporal {
         // Warm-start by stable identity: `source` survives visibility
         // churn at the frustum edges, unlike the staging index.
         scratch
             .sorter
-            .sort_depths_with_ids_into(&scratch.depths, &scratch.ids, &mut scratch.order);
+            .sort_depths_with_ids_into(&staging.depths, &staging.ids, &mut scratch.order);
     } else {
-        sort_splats_by_depth_into(&scratch.depths, &mut scratch.sort, &mut scratch.order);
+        sort_splats_by_depth_into(&staging.depths, &mut scratch.sort, &mut scratch.order);
     }
 
     out.clear();
-    out.reserve(scratch.staging.len());
+    out.reserve(staging.splats.len());
     // One pass reorders and accumulates the workload proxy — the f64 adds
     // run in sorted order, exactly as a separate sweep over `out` would.
     let mut total_obb_area = 0.0f64;
     out.extend(scratch.order.iter().map(|&i| {
-        let s = scratch.staging[i as usize];
+        let s = staging.splats[i as usize];
         total_obb_area += s.obb_area() as f64;
         s
     }));
@@ -324,338 +475,6 @@ fn finish_preprocess(
         sorted_keys: out.len(),
         total_obb_area,
     }
-}
-
-/// Incremental, spatially indexed preprocessing for coherent frame
-/// sequences — **bit-exact** with [`preprocess_into`] on every frame.
-///
-/// Per frame the scene's grid cells ([`SceneIndex`]) are classified
-/// against the frustum; fully-outside cells are skipped wholesale,
-/// fully-inside cells skip the per-Gaussian cull test, and the covariance
-/// product `W Σ Wᵀ` of every visible Gaussian is replayed from the
-/// [`CullState`] cache whenever the camera delta is a pure translation
-/// ([`Camera::is_translation_of`]). Splats are emitted in scene order —
-/// the same staging order as the full sweep — and the depth sort
-/// warm-starts through the scratch's [`IncrementalSorter`] exactly as
-/// [`preprocess_into_temporal`] does, so output order, splat bits and
-/// [`PreprocessStats`] are all identical to the full path; only the work
-/// to produce them shrinks. [`CullState::stats`] reports what was skipped.
-///
-/// # Panics
-///
-/// Panics when `index` was not built from this scene's Gaussian cloud:
-/// a length mismatch panics on every call, and a content (fingerprint)
-/// mismatch panics on the first frame after `cull` (re)pairs with the
-/// index — the full-content check is `O(scene)` and runs once per
-/// pairing, not per frame, so an **in-place** mutation of the cloud after
-/// pairing goes undetected (rebuild the index, or use
-/// [`CullState::invalidate`] plus a fresh [`SceneIndex`], after mutating).
-///
-/// # Examples
-///
-/// ```
-/// use gsplat::index::{CullState, SceneIndex};
-/// use gsplat::preprocess::{preprocess_into, preprocess_into_indexed, PreprocessScratch};
-/// use gsplat::scene::EVALUATED_SCENES;
-/// use gsplat::ThreadPolicy;
-/// let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
-/// let cam = scene.default_camera();
-/// let index = SceneIndex::build(&scene.gaussians);
-/// let mut cull = CullState::default();
-/// let (mut s1, mut s2) = (PreprocessScratch::default(), PreprocessScratch::default());
-/// let (mut indexed, mut full) = (Vec::new(), Vec::new());
-/// let a = preprocess_into_indexed(
-///     &scene, &cam, ThreadPolicy::default(), &index, &mut cull, &mut s1, &mut indexed,
-/// );
-/// let b = preprocess_into(&scene, &cam, ThreadPolicy::default(), &mut s2, &mut full);
-/// assert_eq!(a, b);
-/// assert_eq!(indexed, full);
-/// ```
-// vrlint: hot
-pub fn preprocess_into_indexed(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    cull: &mut CullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-) -> PreprocessStats {
-    preprocess_into_indexed_clamped(
-        scene,
-        camera,
-        policy,
-        index,
-        cull,
-        scratch,
-        out,
-        MAX_SH_DEGREE,
-    )
-}
-
-/// [`preprocess_into_indexed`] with the SH evaluation degree capped at
-/// `max_sh_degree`. The degree-0 `base_color` cache in the spatial index is
-/// clamp-invariant (a degree-0 color evaluates identically under any cap),
-/// so the indexed path stays bit-exact with the full clamped path.
-// vrlint: hot
-#[allow(clippy::too_many_arguments)]
-pub fn preprocess_into_indexed_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    cull: &mut CullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    assert_eq!(
-        index.len(),
-        scene.len(),
-        "spatial index built for a different cloud size"
-    );
-    if cull.paired_with() != index.fingerprint() {
-        // One-off on (re)pairing: the O(scene) content check that the
-        // index really describes this cloud. Steady-state frames skip it.
-        assert_eq!(
-            index.fingerprint(),
-            crate::index::cloud_fingerprint(&scene.gaussians),
-            "spatial index built for a different scene"
-        );
-    }
-    let n = scene.len();
-    let workers = policy.workers(n);
-    let frame = FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
-    cull.begin_frame(index, &frame, camera);
-    scratch.clear_staging();
-
-    let (classes, mcache, epoch) = cull.projection_parts();
-    let (refreshed, reprojected) = if workers <= 1 {
-        let (staging, depths, ids) = scratch.staging_parts();
-        project_indexed_range(
-            &scene.gaussians,
-            index,
-            &frame,
-            classes,
-            epoch,
-            0..n,
-            mcache,
-            staging,
-            depths,
-            ids,
-        )
-    } else {
-        let parts = chunked_ranges_mut(n, workers, mcache);
-        // vrlint: allow(VL02, reason = "Vec::new allocates nothing; resize_with grows the worker table only on first use or a worker-count change")
-        scratch.worker_out.resize_with(parts.len(), Vec::new);
-        scratch
-            .worker_keys
-            .resize_with(parts.len(), Default::default);
-        // vrlint: allow-block(VL02[collect], reason = "O(workers) scoped-thread handle lists per fan-out, not O(gaussians)")
-        let counters = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .zip(scratch.worker_out.iter_mut())
-                .zip(scratch.worker_keys.iter_mut())
-                .map(|(((range, mstate), chunk_out), chunk_keys)| {
-                    let gaussians = &scene.gaussians;
-                    let frame = &frame;
-                    s.spawn(move || {
-                        chunk_out.clear();
-                        chunk_keys.0.clear();
-                        chunk_keys.1.clear();
-                        project_indexed_range(
-                            gaussians,
-                            index,
-                            frame,
-                            classes,
-                            epoch,
-                            range,
-                            mstate,
-                            chunk_out,
-                            &mut chunk_keys.0,
-                            &mut chunk_keys.1,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A worker panic propagates to the submitter unchanged
-                // rather than re-panicking with a second message.
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect::<Vec<_>>()
-        });
-        // Chunk-order concatenation == serial projection order.
-        scratch.merge_worker_chunks();
-        counters
-            .iter()
-            .fold((0, 0), |(a, b), &(r, p)| (a + r, b + p))
-    };
-    cull.record_projection(refreshed, reprojected);
-
-    // The indexed path is inherently temporal: it exists for coherent
-    // frame streams, so it always feeds the id-keyed warm-started sort.
-    finish_preprocess(n, scratch, out, true)
-}
-
-/// One member's emission sweep of a **batched** preprocessing round —
-/// bit-exact with [`preprocess_into_indexed`] run solo on the same stream.
-///
-/// The caller owns the round: [`BatchCullState::begin_round`] must have
-/// admitted `camera` (leader or proven translation-bound member), after
-/// which M member sweeps share the round's single widened classification
-/// and the group-wide `W Σ Wᵀ` cache — the covariance product depends on
-/// the camera only through the view rotation, which the bound makes
-/// bit-identical across the group, so an entry computed during any
-/// member's sweep replays bit-exactly for every other member. Everything
-/// genuinely per-camera (sphere tests in `Boundary` cells, the projection
-/// tail, SH color, the warm-started depth sort over the member's own
-/// `scratch`) runs with the member's own [`FrameTransform`], which is why
-/// the emitted splats, their order, and the returned [`PreprocessStats`]
-/// are all identical to the member's solo run.
-///
-/// # Panics
-///
-/// Panics when `index` was not built from this scene's cloud (as
-/// [`preprocess_into_indexed`]), or when `camera` is not admitted by the
-/// current round — unprovable deltas must take the solo per-stream path.
-// vrlint: hot
-pub fn preprocess_into_indexed_batched(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    batch: &mut BatchCullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-) -> PreprocessStats {
-    preprocess_into_indexed_batched_clamped(
-        scene,
-        camera,
-        policy,
-        index,
-        batch,
-        scratch,
-        out,
-        MAX_SH_DEGREE,
-    )
-}
-
-/// [`preprocess_into_indexed_batched`] with the SH evaluation degree
-/// capped at `max_sh_degree`. Mixed caps within one batch are sound: the
-/// shared verdicts and covariance cache are geometric (cap-invariant),
-/// and the cap rides each member's own frame transform.
-// vrlint: hot
-#[allow(clippy::too_many_arguments)]
-pub fn preprocess_into_indexed_batched_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    batch: &mut BatchCullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    assert_eq!(
-        index.len(),
-        scene.len(),
-        "spatial index built for a different cloud size"
-    );
-    assert_eq!(
-        batch.paired_with(),
-        index.fingerprint(),
-        "batch state not paired with this index (begin_round not called)"
-    );
-    if !batch.content_checked() {
-        // One-off per pairing: the O(scene) content check that the index
-        // really describes this cloud. Steady-state frames skip it.
-        assert_eq!(
-            index.fingerprint(),
-            crate::index::cloud_fingerprint(&scene.gaussians),
-            "spatial index built for a different scene"
-        );
-        batch.mark_content_checked();
-    }
-    assert!(
-        batch.admits(camera),
-        "camera not admitted by the current batch round — unprovable deltas take the solo path"
-    );
-    let n = scene.len();
-    let workers = policy.workers(n);
-    let frame = FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
-    scratch.clear_staging();
-
-    let (classes, mcache, epoch) = batch.projection_parts();
-    let (refreshed, reprojected) = if workers <= 1 {
-        let (staging, depths, ids) = scratch.staging_parts();
-        project_indexed_range(
-            &scene.gaussians,
-            index,
-            &frame,
-            classes,
-            epoch,
-            0..n,
-            mcache,
-            staging,
-            depths,
-            ids,
-        )
-    } else {
-        let parts = chunked_ranges_mut(n, workers, mcache);
-        // vrlint: allow(VL02, reason = "Vec::new allocates nothing; resize_with grows the worker table only on first use or a worker-count change")
-        scratch.worker_out.resize_with(parts.len(), Vec::new);
-        scratch
-            .worker_keys
-            .resize_with(parts.len(), Default::default);
-        // vrlint: allow-block(VL02[collect], reason = "O(workers) scoped-thread handle lists per fan-out, not O(gaussians)")
-        let counters = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .zip(scratch.worker_out.iter_mut())
-                .zip(scratch.worker_keys.iter_mut())
-                .map(|(((range, mstate), chunk_out), chunk_keys)| {
-                    let gaussians = &scene.gaussians;
-                    let frame = &frame;
-                    s.spawn(move || {
-                        chunk_out.clear();
-                        chunk_keys.0.clear();
-                        chunk_keys.1.clear();
-                        project_indexed_range(
-                            gaussians,
-                            index,
-                            frame,
-                            classes,
-                            epoch,
-                            range,
-                            mstate,
-                            chunk_out,
-                            &mut chunk_keys.0,
-                            &mut chunk_keys.1,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A worker panic propagates to the submitter unchanged
-                // rather than re-panicking with a second message.
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect::<Vec<_>>()
-        });
-        // Chunk-order concatenation == serial projection order.
-        scratch.merge_worker_chunks();
-        counters
-            .iter()
-            .fold((0, 0), |(a, b), &(r, p)| (a + r, b + p))
-    };
-    batch.record_projection(refreshed, reprojected);
-
-    // Same warm-started id-keyed sort as the solo indexed path, over the
-    // member's own scratch: the per-stream sorter sequence is preserved
-    // whether a frame was served batched or solo.
-    finish_preprocess(n, scratch, out, true)
 }
 
 /// Projects the Gaussians of `range` through the classification lattice
@@ -670,9 +489,7 @@ fn project_indexed_range(
     epoch: u32,
     range: std::ops::Range<usize>,
     mstate: &mut [CovCacheEntry],
-    out: &mut Vec<Splat>,
-    out_depths: &mut Vec<f32>,
-    out_ids: &mut Vec<u32>,
+    out: &mut Staging,
 ) -> (u64, u64) {
     let base = range.start;
     let (mut refreshed, mut reprojected) = (0u64, 0u64);
@@ -731,36 +548,42 @@ fn project_indexed_range(
             cutoff[k],
             color,
         ) {
-            out_depths.push(s.depth);
-            out_ids.push(s.source);
             out.push(s);
         }
     }
     (refreshed, reprojected)
 }
 
-/// [`preprocess_into`] that additionally produces the SoA [`SplatStream`]
-/// consumed by the `Soa` fragment kernels. `stream` is rebuilt from the
-/// sorted AoS output, so `stream.get(i) == out[i]` bit-for-bit; with warm
-/// buffers the extra cost is one linear copy and no allocation.
-// vrlint: hot
-pub fn preprocess_into_stream(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    stream: &mut SplatStream,
-) -> PreprocessStats {
-    let stats = preprocess_into(scene, camera, policy, scratch, out);
-    stream.rebuild_from(out);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scene::EVALUATED_SCENES;
+    use crate::stream::SplatStream;
+
+    /// Default options with the given culling mode.
+    fn opts(cull: CullMode<'_>) -> PreprocessOpts<'_> {
+        PreprocessOpts {
+            cull,
+            ..Default::default()
+        }
+    }
+
+    /// [`preprocess`] under an explicit threading policy.
+    fn preprocess_with(scene: &Scene, cam: &Camera, policy: ThreadPolicy) -> PreprocessOutput {
+        let mut splats = Vec::new();
+        let opts = PreprocessOpts {
+            policy,
+            ..Default::default()
+        };
+        let stats = preprocess_into(
+            scene,
+            cam,
+            opts,
+            &mut PreprocessScratch::default(),
+            &mut splats,
+        );
+        PreprocessOutput { splats, stats }
+    }
 
     #[test]
     fn output_is_depth_sorted() {
@@ -831,14 +654,14 @@ mod tests {
         let mut scratch = PreprocessScratch::default();
         let mut out = Vec::new();
         let mut stream = SplatStream::new();
-        let stats = preprocess_into_stream(
+        let stats = preprocess_into(
             &scene,
             &cam,
-            ThreadPolicy::default(),
+            PreprocessOpts::default(),
             &mut scratch,
             &mut out,
-            &mut stream,
         );
+        stream.rebuild_from(&out);
         assert_eq!(stats.visible_splats, out.len());
         assert_eq!(stream.len(), out.len());
         assert!((0..out.len()).all(|i| stream.get(i) == out[i]));
@@ -860,17 +683,17 @@ mod tests {
         let mut temporal_out = Vec::new();
         let mut full_out = Vec::new();
         for (i, cam) in cams.iter().enumerate() {
-            let ts = preprocess_into_temporal(
+            let ts = preprocess_into(
                 &scene,
                 cam,
-                ThreadPolicy::default(),
+                opts(CullMode::Full { temporal: true }),
                 &mut temporal_scratch,
                 &mut temporal_out,
             );
             let fs = preprocess_into(
                 &scene,
                 cam,
-                ThreadPolicy::default(),
+                PreprocessOpts::default(),
                 &mut full_scratch,
                 &mut full_out,
             );
@@ -915,17 +738,20 @@ mod tests {
             let mut indexed = Vec::new();
             let mut full = Vec::new();
             for (i, cam) in cams.iter().enumerate() {
-                let a = preprocess_into_indexed(
+                let a = preprocess_into(
                     &scene,
                     cam,
-                    ThreadPolicy::default(),
-                    &index,
-                    &mut cull,
+                    opts(CullMode::Indexed(&index, &mut cull)),
                     &mut s_idx,
                     &mut indexed,
                 );
-                let b =
-                    preprocess_into(&scene, cam, ThreadPolicy::default(), &mut s_full, &mut full);
+                let b = preprocess_into(
+                    &scene,
+                    cam,
+                    PreprocessOpts::default(),
+                    &mut s_full,
+                    &mut full,
+                );
                 assert_eq!(a, b, "{path:?}: frame {i} stats diverged");
                 assert_eq!(
                     indexed.len(),
@@ -964,12 +790,10 @@ mod tests {
         let mut scratch = PreprocessScratch::default();
         let mut out = Vec::new();
         for cam in &cams {
-            preprocess_into_indexed(
+            preprocess_into(
                 &scene,
                 cam,
-                ThreadPolicy::default(),
-                &index,
-                &mut cull,
+                opts(CullMode::Indexed(&index, &mut cull)),
                 &mut scratch,
                 &mut out,
             );
@@ -993,15 +817,12 @@ mod tests {
             let mut cull = CullState::default();
             let mut scratch = PreprocessScratch::default();
             let mut out = Vec::new();
-            let stats = preprocess_into_indexed(
-                &scene,
-                &cam,
+            let opts = PreprocessOpts {
                 policy,
-                &index,
-                &mut cull,
-                &mut scratch,
-                &mut out,
-            );
+                cull: CullMode::Indexed(&index, &mut cull),
+                ..Default::default()
+            };
+            let stats = preprocess_into(&scene, &cam, opts, &mut scratch, &mut out);
             (stats, out)
         };
         let (ref_stats, ref_out) = run(ThreadPolicy::serial());
@@ -1042,12 +863,10 @@ mod tests {
         // Warm the covariance cache on scene A (two frames, same camera —
         // the second is a pure-translation delta, all cache hits).
         for _ in 0..2 {
-            preprocess_into_indexed(
+            preprocess_into(
                 &scene_a,
                 &cam,
-                ThreadPolicy::default(),
-                &index_a,
-                &mut cull,
+                opts(CullMode::Indexed(&index_a, &mut cull)),
                 &mut scratch,
                 &mut out,
             );
@@ -1056,12 +875,10 @@ mod tests {
         // Same camera, same cloud size, *different* scene: without the
         // pairing guard the epoch would hold and scene A's products would
         // be replayed for scene B's Gaussians.
-        let stats_b = preprocess_into_indexed(
+        let stats_b = preprocess_into(
             &scene_b,
             &cam,
-            ThreadPolicy::default(),
-            &index_b,
-            &mut cull,
+            opts(CullMode::Indexed(&index_b, &mut cull)),
             &mut scratch,
             &mut out,
         );
@@ -1070,7 +887,7 @@ mod tests {
         let full_stats = preprocess_into(
             &scene_b,
             &cam,
-            ThreadPolicy::default(),
+            PreprocessOpts::default(),
             &mut full_scratch,
             &mut full,
         );
@@ -1086,12 +903,10 @@ mod tests {
         let mut other = scene.clone();
         other.gaussians[0].mean.x += 10.0;
         let index = SceneIndex::build(&other.gaussians);
-        let _ = preprocess_into_indexed(
+        let _ = preprocess_into(
             &scene,
             &scene.default_camera(),
-            ThreadPolicy::default(),
-            &index,
-            &mut CullState::default(),
+            opts(CullMode::Indexed(&index, &mut CullState::default())),
             &mut PreprocessScratch::default(),
             &mut Vec::new(),
         );
@@ -1127,7 +942,12 @@ mod tests {
             let t0 = Instant::now();
             let mut scratch = PreprocessScratch::default();
             for cam in &cams {
-                preprocess_into_temporal(&scene, cam, policy, &mut scratch, &mut out);
+                let opts = PreprocessOpts {
+                    policy,
+                    cull: CullMode::Full { temporal: true },
+                    ..Default::default()
+                };
+                preprocess_into(&scene, cam, opts, &mut scratch, &mut out);
             }
             best[0] = best[0].min(t0.elapsed().as_secs_f64() * 1e3);
 
@@ -1136,15 +956,12 @@ mod tests {
             let mut cull = CullState::default();
             let mut scratch = PreprocessScratch::default();
             for cam in &cams {
-                preprocess_into_indexed(
-                    &scene,
-                    cam,
+                let opts = PreprocessOpts {
                     policy,
-                    &index,
-                    &mut cull,
-                    &mut scratch,
-                    &mut out,
-                );
+                    cull: CullMode::Indexed(&index, &mut cull),
+                    ..Default::default()
+                };
+                preprocess_into(&scene, cam, opts, &mut scratch, &mut out);
             }
             best[1] = best[1].min(t0.elapsed().as_secs_f64() * 1e3);
 
@@ -1155,9 +972,8 @@ mod tests {
             for cam in &cams {
                 let frame = FrameTransform::new(cam);
                 cull.begin_frame(&index, &frame, cam);
-                scratch.clear_staging();
+                scratch.staging.clear();
                 let (classes, mcache, epoch) = cull.projection_parts();
-                let (staging, depths, ids) = scratch.staging_parts();
                 project_indexed_range(
                     &scene.gaussians,
                     &index,
@@ -1166,9 +982,7 @@ mod tests {
                     epoch,
                     0..scene.len(),
                     mcache,
-                    staging,
-                    depths,
-                    ids,
+                    &mut scratch.staging,
                 );
             }
             best[2] = best[2].min(t0.elapsed().as_secs_f64() * 1e3);
@@ -1178,11 +992,9 @@ mod tests {
             let mut scratch = PreprocessScratch::default();
             for cam in &cams {
                 let frame = FrameTransform::new(cam);
-                scratch.clear_staging();
+                scratch.staging.clear();
                 for (i, g) in scene.gaussians.iter().enumerate() {
                     if let Some(s) = project_gaussian_frame(g, &frame, i as u32) {
-                        scratch.depths.push(s.depth);
-                        scratch.ids.push(s.source);
                         scratch.staging.push(s);
                     }
                 }
@@ -1217,8 +1029,13 @@ mod tests {
         let mut out = Vec::new();
         let cams = scene.viewpoints(3);
         for cam in &cams {
-            let stats =
-                preprocess_into(&scene, cam, ThreadPolicy::default(), &mut scratch, &mut out);
+            let stats = preprocess_into(
+                &scene,
+                cam,
+                PreprocessOpts::default(),
+                &mut scratch,
+                &mut out,
+            );
             let fresh = preprocess(&scene, cam);
             assert_eq!(stats, fresh.stats);
             assert_eq!(out.len(), fresh.splats.len());

@@ -6,7 +6,7 @@ use gsplat::color::Rgba;
 use gsplat::gaussian::Gaussian;
 use gsplat::index::{CellClass, SceneIndex};
 use gsplat::math::{Mat2, Vec2, Vec3};
-use gsplat::preprocess::PreprocessScratch;
+use gsplat::preprocess::{preprocess_into, CullMode, PreprocessOpts, PreprocessScratch};
 use gsplat::projection::{project_gaussian, FrameTransform};
 use gsplat::sh::ShColor;
 use gsplat::sort::{depth_key, radix_argsort, sort_splats_by_depth, IncrementalSorter};
@@ -518,13 +518,19 @@ proptest! {
             batch.begin_round(&index, cams);
             for (k, cam) in cams.iter().enumerate() {
                 let (scratch, out) = &mut batched[k];
-                let stats_batched = gsplat::preprocess::preprocess_into_indexed_batched(
-                    &scene, cam, policy, &index, &mut batch, scratch, out,
-                );
+                let opts = PreprocessOpts {
+                    policy,
+                    cull: CullMode::Batched(&index, &mut batch),
+                    ..Default::default()
+                };
+                let stats_batched = preprocess_into(&scene, cam, opts, scratch, out);
                 let (cull, scratch, reference) = &mut solo[k];
-                let stats_solo = gsplat::preprocess::preprocess_into_indexed(
-                    &scene, cam, policy, &index, cull, scratch, reference,
-                );
+                let opts = PreprocessOpts {
+                    policy,
+                    cull: CullMode::Indexed(&index, cull),
+                    ..Default::default()
+                };
+                let stats_solo = preprocess_into(&scene, cam, opts, scratch, reference);
                 prop_assert_eq!(stats_batched, stats_solo, "member {} stats diverged", k);
                 prop_assert_eq!(&*out, &*reference, "member {} splats diverged", k);
             }

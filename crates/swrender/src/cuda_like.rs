@@ -231,8 +231,8 @@ impl CudaLikeRenderer {
 
     /// [`CudaLikeRenderer::render`] reusing caller-owned scratch buffers
     /// across frames. For the `Soa` kernel the [`SplatStream`] is rebuilt
-    /// into the scratch; callers that already hold the stream (e.g. from
-    /// [`gsplat::preprocess::preprocess_into_stream`]) should use
+    /// into the scratch; callers that already hold the stream (e.g. a
+    /// `vrpipe::Session` built `with_stream`) should use
     /// [`CudaLikeRenderer::render_prepared`] to skip that copy.
     pub fn render_with_scratch(
         &self,
@@ -253,9 +253,9 @@ impl CudaLikeRenderer {
     }
 
     /// [`CudaLikeRenderer::render_with_scratch`] with a caller-provided
-    /// [`SplatStream`] (as produced by
-    /// [`gsplat::preprocess::preprocess_into_stream`]), so a frame loop
-    /// that preprocesses into a stream pays no per-frame SoA rebuild.
+    /// [`SplatStream`] (as rebuilt once per frame from the preprocessed
+    /// splats with [`SplatStream::rebuild_from`]), so a frame loop that
+    /// already holds the stream pays no second SoA rebuild.
     ///
     /// The stream is only read by the `Soa` kernel; the `Scalar` oracle
     /// ignores it.

@@ -80,17 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frames = 6;
     let viewer_backend = || {
         let gpu = GpuConfig::default();
-        let mut scratch = vrpipe::DrawScratch::default();
         move |f: vrpipe::FrameInput<'_>| {
-            let out = vrpipe::try_draw_with_scratch(
-                f.splats,
-                96,
-                72,
-                &gpu,
-                PipelineVariant::HetQm,
-                &mut scratch,
-            )
-            .expect("valid config");
+            let out = vrpipe::try_draw(f.splats, 96, 72, &gpu, PipelineVariant::HetQm)
+                .expect("valid config");
             (out.stats.total_cycles, f.splats.len())
         }
     };

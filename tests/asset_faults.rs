@@ -322,17 +322,9 @@ fn disk_roundtrip_survives_and_disk_corruption_is_detected() {
 /// stats + image bits (the serve chaos suite's idiom).
 fn digest_backend(w: u32, h: u32) -> impl FnMut(FrameInput<'_>) -> (String, u64) + Send + 'static {
     let gpu = GpuConfig::default();
-    let mut scratch = vrpipe::DrawScratch::default();
     move |f: FrameInput<'_>| {
-        let out = vrpipe::try_draw_with_scratch(
-            f.splats,
-            w,
-            h,
-            &gpu,
-            PipelineVariant::HetQm,
-            &mut scratch,
-        )
-        .expect("valid config");
+        let out =
+            vrpipe::try_draw(f.splats, w, h, &gpu, PipelineVariant::HetQm).expect("valid config");
         (format!("{:?}", out.stats), image_digest(&out.color))
     }
 }

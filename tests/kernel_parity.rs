@@ -10,7 +10,7 @@
 //! no tolerances.
 
 use gpu_sim::config::GpuConfig;
-use gsplat::preprocess::{preprocess, preprocess_into_stream, PreprocessScratch};
+use gsplat::preprocess::preprocess;
 use gsplat::scene::EVALUATED_SCENES;
 use gsplat::stream::FragmentKernel;
 use gsplat::ThreadPolicy;
@@ -31,17 +31,8 @@ fn stream_from_preprocess_matches_aos_bit_for_bit() {
     for spec in archetype_scenes() {
         let scene = spec.generate_scaled(TEST_SCALE);
         let cam = scene.default_camera();
-        let mut scratch = PreprocessScratch::default();
-        let mut splats = Vec::new();
-        let mut stream = gsplat::SplatStream::new();
-        preprocess_into_stream(
-            &scene,
-            &cam,
-            ThreadPolicy::default(),
-            &mut scratch,
-            &mut splats,
-            &mut stream,
-        );
+        let splats = preprocess(&scene, &cam).splats;
+        let stream = gsplat::SplatStream::from_splats(&splats);
         assert_eq!(stream.len(), splats.len(), "{}", spec.name);
         for (i, s) in splats.iter().enumerate() {
             assert_eq!(stream.get(i), *s, "{}: splat {i}", spec.name);

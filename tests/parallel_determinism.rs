@@ -5,8 +5,8 @@
 
 use gpu_sim::config::GpuConfig;
 use gsplat::par::ThreadPolicy;
-use gsplat::preprocess::preprocess_with;
-use gsplat::scene::EVALUATED_SCENES;
+use gsplat::preprocess::{preprocess_into, PreprocessOpts, PreprocessOutput, PreprocessScratch};
+use gsplat::scene::{Scene, EVALUATED_SCENES};
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
 use swrender::inshader::fragment_workload_with;
 use swrender::multipass::{render_multipass, MultiPassConfig};
@@ -16,6 +16,23 @@ const TEST_SCALE: f32 = 0.05;
 
 /// The policies every path is checked against, versus `threads: 1`.
 const POLICIES: [(usize, bool); 3] = [(2, true), (5, false), (0, true)];
+
+/// Preprocesses one view under an explicit threading policy.
+fn preprocess_with(scene: &Scene, cam: &gsplat::Camera, policy: ThreadPolicy) -> PreprocessOutput {
+    let mut splats = Vec::new();
+    let opts = PreprocessOpts {
+        policy,
+        ..Default::default()
+    };
+    let stats = preprocess_into(
+        scene,
+        cam,
+        opts,
+        &mut PreprocessScratch::default(),
+        &mut splats,
+    );
+    PreprocessOutput { splats, stats }
+}
 
 #[test]
 fn pipeline_variants_are_bit_exact_across_thread_counts() {

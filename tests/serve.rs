@@ -140,22 +140,14 @@ fn stream_defs(scene: &Scene) -> Vec<StreamDef> {
     )
     .with_index();
     let gpu = GpuConfig::default();
-    let mut scratch = vrpipe::DrawScratch::default();
     let (w3, h3) = (cfg3.width, cfg3.height);
     defs.push((
         "vrpipe-stereo",
         cfg3,
         false,
         Box::new(move |f: FrameInput<'_>| {
-            let out = vrpipe::try_draw_with_scratch(
-                f.splats,
-                w3,
-                h3,
-                &gpu,
-                PipelineVariant::HetQm,
-                &mut scratch,
-            )
-            .expect("valid config");
+            let out = vrpipe::try_draw(f.splats, w3, h3, &gpu, PipelineVariant::HetQm)
+                .expect("valid config");
             (format!("{:?}", out.stats), image_digest(&out.color))
         }),
     ));

@@ -448,17 +448,9 @@ fn image_digest(color: &ColorBuffer) -> u64 {
 /// stats + image bits.
 fn digest_backend(w: u32, h: u32) -> impl FnMut(FrameInput<'_>) -> (String, u64) + Send + 'static {
     let gpu = GpuConfig::default();
-    let mut scratch = vrpipe::DrawScratch::default();
     move |f: FrameInput<'_>| {
-        let out = vrpipe::try_draw_with_scratch(
-            f.splats,
-            w,
-            h,
-            &gpu,
-            PipelineVariant::HetQm,
-            &mut scratch,
-        )
-        .expect("valid config");
+        let out =
+            vrpipe::try_draw(f.splats, w, h, &gpu, PipelineVariant::HetQm).expect("valid config");
         (format!("{:?}", out.stats), image_digest(&out.color))
     }
 }

@@ -1,16 +1,17 @@
-//! SH-degree clamping bit-exactness: `preprocess_clamped(scene, cam, d)`
-//! must produce *bit-identical* splats to preprocessing a scene whose SH
-//! coefficient lists were physically truncated to degree `d` — the
-//! quality ladder's SH rung is a pure evaluation-order contract, not an
-//! approximation. Verified on the flat and indexed preprocess paths and
-//! through all three software render backends (CUDA-style, multipass,
-//! in-shader workload model).
+//! SH-degree clamping bit-exactness: preprocessing with
+//! `PreprocessOpts::max_sh_degree = d` must produce *bit-identical* splats
+//! to preprocessing a scene whose SH coefficient lists were physically
+//! truncated to degree `d` — the quality ladder's SH rung is a pure
+//! evaluation-order contract, not an approximation. Verified on the flat,
+//! indexed and batched preprocess paths and through all three software
+//! render backends (CUDA-style, multipass, in-shader workload model).
 
+use gsplat::batch::BatchCullState;
+use gsplat::camera::CameraPath;
 use gsplat::index::{CullState, SceneIndex};
 use gsplat::math::Vec3;
 use gsplat::preprocess::{
-    preprocess, preprocess_clamped, preprocess_into_indexed, preprocess_into_indexed_clamped,
-    PreprocessScratch,
+    preprocess, preprocess_into, CullMode, PreprocessOpts, PreprocessOutput, PreprocessScratch,
 };
 use gsplat::scene::{Scene, EVALUATED_SCENES};
 use gsplat::sh::{coeff_count, ShColor, MAX_SH_DEGREE};
@@ -53,6 +54,23 @@ fn truncated_scene(scene: &Scene, degree: u8) -> Scene {
     t
 }
 
+/// [`preprocess`] with the SH evaluation degree capped at `max_sh_degree`.
+fn preprocess_clamped(scene: &Scene, cam: &gsplat::Camera, max_sh_degree: u8) -> PreprocessOutput {
+    let mut splats = Vec::new();
+    let opts = PreprocessOpts {
+        max_sh_degree,
+        ..Default::default()
+    };
+    let stats = preprocess_into(
+        scene,
+        cam,
+        opts,
+        &mut PreprocessScratch::default(),
+        &mut splats,
+    );
+    PreprocessOutput { splats, stats }
+}
+
 /// Exact per-splat digest: `Debug` for f32 prints the shortest exactly
 /// round-tripping decimal, so two splats format identically iff their
 /// bits match.
@@ -93,31 +111,23 @@ fn indexed_clamped_preprocess_matches_truncated_scene() {
         let mut cull = CullState::default();
         let mut scratch = PreprocessScratch::default();
         let mut clamped = Vec::new();
-        let a = preprocess_into_indexed_clamped(
-            &scene,
-            &cam,
-            ThreadPolicy::default(),
-            &index,
-            &mut cull,
-            &mut scratch,
-            &mut clamped,
-            max,
-        );
+        let opts = PreprocessOpts {
+            max_sh_degree: max,
+            cull: CullMode::Indexed(&index, &mut cull),
+            ..Default::default()
+        };
+        let a = preprocess_into(&scene, &cam, opts, &mut scratch, &mut clamped);
 
         let trunc = truncated_scene(&scene, max);
         let t_index = SceneIndex::build(&trunc.gaussians);
         let mut t_cull = CullState::default();
         let mut t_scratch = PreprocessScratch::default();
         let mut reference = Vec::new();
-        let b = preprocess_into_indexed(
-            &trunc,
-            &cam,
-            ThreadPolicy::default(),
-            &t_index,
-            &mut t_cull,
-            &mut t_scratch,
-            &mut reference,
-        );
+        let opts = PreprocessOpts {
+            cull: CullMode::Indexed(&t_index, &mut t_cull),
+            ..Default::default()
+        };
+        let b = preprocess_into(&trunc, &cam, opts, &mut t_scratch, &mut reference);
         assert_eq!(a, b, "degree {max}");
         assert_eq!(
             splat_bits(&clamped),
@@ -125,6 +135,66 @@ fn indexed_clamped_preprocess_matches_truncated_scene() {
             "degree {max}: indexed clamped path diverged"
         );
     }
+}
+
+/// One batched round may mix SH caps: the shared verdicts and covariance
+/// cache are geometric, and each member's cap rides its own frame
+/// transform. Under a multi-worker policy, every member's splats and stats
+/// equal its solo `Full { temporal: true }` run at the same cap, over
+/// rounds that both re-project and replay the shared cache.
+#[test]
+fn batched_round_with_mixed_caps_matches_solo_full_runs() {
+    let scene = degree3_scene();
+    let index = SceneIndex::build(&scene.gaussians);
+    let path = CameraPath::flythrough(
+        scene.center + Vec3::new(0.0, 1.0, scene.view_radius),
+        scene.center,
+        scene.view_radius * 0.005,
+        scene.view_radius * 0.002,
+    )
+    .stereo(0.065);
+    // Frames 2r and 2r + 1 are round r's two eyes.
+    let cams = path.cameras(6, 128, 96, 1.0);
+    let caps = [0, MAX_SH_DEGREE];
+    let policy = ThreadPolicy {
+        threads: 4,
+        deterministic: true,
+    };
+    let mut batch = BatchCullState::default();
+    let mut batched: [(PreprocessScratch, Vec<Splat>); 2] = Default::default();
+    let mut solo: [(PreprocessScratch, Vec<Splat>); 2] = Default::default();
+    for (round, pair) in cams.chunks(2).enumerate() {
+        batch.begin_round(&index, pair);
+        for (k, cam) in pair.iter().enumerate() {
+            let (scratch, out) = &mut batched[k];
+            let opts = PreprocessOpts {
+                policy,
+                max_sh_degree: caps[k],
+                cull: CullMode::Batched(&index, &mut batch),
+            };
+            let a = preprocess_into(&scene, cam, opts, scratch, out);
+            let (scratch, reference) = &mut solo[k];
+            let opts = PreprocessOpts {
+                policy: ThreadPolicy::serial(),
+                max_sh_degree: caps[k],
+                cull: CullMode::Full { temporal: true },
+            };
+            let b = preprocess_into(&scene, cam, opts, scratch, reference);
+            assert_eq!(a, b, "round {round} member {k}: stats diverged");
+            assert_eq!(
+                splat_bits(out),
+                splat_bits(reference),
+                "round {round} member {k}: splats diverged"
+            );
+        }
+    }
+    assert!(
+        batch.stats().gaussians_refreshed > 0,
+        "later rounds must replay the shared covariance cache"
+    );
+    // The cap must change this scene's colors, or the check is vacuous.
+    let uncapped = preprocess(&scene, &cams[4]).splats;
+    assert_ne!(splat_bits(&solo[0].1), splat_bits(&uncapped));
 }
 
 #[test]
