@@ -16,10 +16,12 @@
 //! cache state, the flow-shop timer), so the draw loop itself runs
 //! serially — but its pure per-primitive prologue (triangle setup, the
 //! TGC `(grid, primitive)` key stream) fans out over the host threads in
-//! [`GpuConfig::thread_policy`], and every per-primitive / per-flush
-//! buffer lives in a reusable [`DrawScratch`], making the steady-state
-//! frame loop allocation-free. Simulated results are bit-exact for every
-//! `threads` setting.
+//! [`GpuConfig::thread_policy`]. Every per-primitive / per-flush buffer
+//! and the hardware-model state itself — the TC and TGC bin tables, the
+//! CROP, z and L2 caches — live in a reusable [`DrawScratch`] that each
+//! draw resets in place, making the steady-state frame loop
+//! allocation-free. Simulated results are bit-exact for every `threads`
+//! setting.
 
 use gpu_sim::binning::{BinTable, Flush, FlushReason, KeyStream};
 use gpu_sim::cache::Cache;
@@ -27,7 +29,7 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::quad::{Quad, ShadedQuad};
 use gpu_sim::raster::{rasterize_in_tile_into, SplatSetup};
 use gpu_sim::stats::{PipelineStats, Unit};
-use gpu_sim::tiles::{TileGridId, TileId, Tiling};
+use gpu_sim::tiles::{TileId, Tiling};
 use gpu_sim::timing::{PipelineTimer, WorkBatch};
 use gsplat::blend::blend_over;
 use gsplat::color::Rgba;
@@ -142,16 +144,18 @@ impl From<gsplat::asset::AssetError> for DrawError {
     }
 }
 
-/// Reusable per-draw buffers: primitive setups, the TGC key stream, the
-/// raster quad buffer and every per-flush staging vector. Holding one of
-/// these across draws removes all steady-state allocation from the
-/// simulator's frame loop.
+/// Reusable per-draw state: primitive setups, the TGC key stream, the
+/// raster quad buffer, every per-flush staging vector, and the hardware
+/// models — TC and TGC bin tables, CROP, z and L2 caches. Each draw resets
+/// the models in place to their freshly built state, so a draw's result
+/// never depends on an earlier one; holding one scratch across draws
+/// removes all steady-state allocation from the simulator's frame loop.
 #[derive(Debug, Default)]
 pub struct DrawScratch {
     /// Per-primitive setup results (parallel prologue output).
     setups: Vec<Option<SplatSetup>>,
     /// TGC `(grid, primitive)` insertion stream.
-    tgc_stream: KeyStream<TileGridId>,
+    tgc_stream: KeyStream<u32>,
     /// Fine-raster quad staging for one (primitive, tile) visit.
     quads: Vec<Quad>,
     /// Surviving quads of the TC flush being processed.
@@ -172,7 +176,19 @@ pub struct DrawScratch {
     retired: TileBitset,
     /// Per-tile count of terminated pixels, feeding `retired`.
     tile_term: Vec<u32>,
+    /// TC unit bins, keyed by screen-tile index `y * tiles_x + x`.
+    tc: BinTable<Quad>,
+    /// TGC unit bins, keyed by tile-grid index `y * grids_x + x`.
+    tgc: BinTable<u32>,
+    /// CROP color cache, ZROP z-cache and the L2 behind both.
+    crop_cache: Cache,
+    z_cache: Cache,
+    l2: Cache,
 }
+
+/// L2 model geometry: 4 MiB, 16-way.
+const L2_BYTES: usize = 4 * 1024 * 1024;
+const L2_WAYS: usize = 16;
 
 /// Simulates one draw call of depth-sorted splats.
 ///
@@ -263,20 +279,27 @@ pub fn try_draw_in_place(
     scratch.retired.reset(track_tiles);
     scratch.tile_term.clear();
     scratch.tile_term.resize(track_tiles, 0);
+    scratch
+        .tc
+        .reset(cfg.tc_bins, cfg.tc_bin_size, tiling.tile_count());
+    scratch
+        .tgc
+        .reset(cfg.tgc_bins, cfg.tgc_bin_size, tiling.grid_count());
+    let (line, ways) = (cfg.cache_line_bytes, cfg.cache_ways);
+    scratch.crop_cache.reset(cfg.crop_cache_bytes, line, ways);
+    scratch.z_cache.reset(cfg.z_cache_bytes, line, ways);
+    scratch.l2.reset(L2_BYTES, line, L2_WAYS);
     Ok(Pipeline {
         splats,
         cfg,
         variant,
         tiling,
+        tiles_x: tiling.tiles_x(),
         color,
         ds,
-        crop_cache: Cache::new(cfg.crop_cache_bytes, cfg.cache_line_bytes, cfg.cache_ways),
-        z_cache: Cache::new(cfg.z_cache_bytes, cfg.cache_line_bytes, cfg.cache_ways),
-        l2: Cache::new(4 * 1024 * 1024, cfg.cache_line_bytes, 16),
         timer: PipelineTimer::new(),
         stats: PipelineStats::default(),
         pending: WorkBatch::default(),
-        tc: BinTable::new(cfg.tc_bins, cfg.tc_bin_size),
         line_block: line_block(cfg),
         scratch,
     }
@@ -298,16 +321,14 @@ struct Pipeline<'a> {
     cfg: &'a GpuConfig,
     variant: PipelineVariant,
     tiling: Tiling,
+    /// `tiling.tiles_x()`, the stride of screen-tile indices.
+    tiles_x: u32,
     color: &'a mut ColorBuffer,
     ds: &'a mut DepthStencilBuffer,
-    crop_cache: Cache,
-    z_cache: Cache,
-    l2: Cache,
     timer: PipelineTimer,
     stats: PipelineStats,
     /// Upstream work accumulated since the last TC flush.
     pending: WorkBatch,
-    tc: BinTable<TileId, Quad>,
     /// Color-cache line geometry (pixels per line block).
     line_block: (u32, u32),
     scratch: &'a mut DrawScratch,
@@ -326,8 +347,7 @@ impl Pipeline<'_> {
             self.run_direct();
         }
         // End-of-draw: drain the TC unit (subsumes the timeout flush).
-        let drains = self.tc.drain();
-        for flush in drains {
+        while let Some(flush) = self.scratch.tc.drain_next() {
             self.process_tc_flush(flush);
         }
         // Push any trailing upstream work.
@@ -335,11 +355,11 @@ impl Pipeline<'_> {
             let batch = std::mem::take(&mut self.pending);
             self.timer.push(batch);
         }
-        self.crop_cache.flush();
-        self.z_cache.flush();
+        self.scratch.crop_cache.flush();
+        self.scratch.z_cache.flush();
 
-        self.stats.crop_cache = self.crop_cache.stats();
-        self.stats.z_cache = self.z_cache.stats();
+        self.stats.crop_cache = self.scratch.crop_cache.stats();
+        self.stats.z_cache = self.scratch.z_cache.stats();
         let (total, busy) = self.timer.finish();
         self.stats.total_cycles = total;
         self.stats.busy_cycles = busy;
@@ -413,6 +433,7 @@ impl Pipeline<'_> {
             let setups = &self.scratch.setups;
             let tiling = &self.tiling;
             let g = self.cfg.tile_grid_tiles;
+            let grids_x = tiling.grids_x();
             stream.build(self.splats.len(), self.cfg.thread_policy(), |i, push| {
                 let Some(setup) = setups[i as usize] else {
                     return;
@@ -427,14 +448,12 @@ impl Pipeline<'_> {
                 // TileGridIds (lexicographic by x, then y) and deduping.
                 for gx in x0 / g..=x1 / g {
                     for gy in y0 / g..=y1 / g {
-                        push(TileGridId { x: gx, y: gy });
+                        push(gy * grids_x + gx);
                     }
                 }
             });
         }
 
-        let mut tgc: BinTable<TileGridId, u32> =
-            BinTable::new(self.cfg.tgc_bins, self.cfg.tgc_bin_size);
         // Vertex work interleaves with insertions exactly as a per-splat
         // loop would: each primitive is accounted just before its first
         // insertion (or with the next accounted primitive if it has none).
@@ -447,10 +466,10 @@ impl Pipeline<'_> {
             }
             self.stats.tgc_insertions += 1;
             self.pending.add(Unit::Tgc, 1.0);
-            for flush in tgc.insert(grid, prim) {
+            for flush in self.scratch.tgc.insert(grid, prim) {
                 let Flush { key, items, .. } = flush;
                 self.process_tgc_flush(key, &items);
-                tgc.recycle(items);
+                self.scratch.tgc.recycle(items);
             }
         }
         while next_vertex < self.splats.len() {
@@ -459,11 +478,11 @@ impl Pipeline<'_> {
         }
         self.scratch.tgc_stream = stream;
 
-        let drains = tgc.drain();
-        for flush in drains {
+        while let Some(flush) = self.scratch.tgc.drain_next() {
             self.process_tgc_flush(flush.key, &flush.items);
+            self.scratch.tgc.recycle(flush.items);
         }
-        let s = tgc.stats();
+        let s = self.scratch.tgc.stats();
         self.stats.tgc_flushes = s.flushes;
         self.stats.tgc_evictions = s.evictions;
     }
@@ -479,9 +498,11 @@ impl Pipeline<'_> {
     }
 
     /// Rasterizes a TGC flush: every primitive in the bin, restricted to
-    /// the screen tiles of that tile grid.
-    fn process_tgc_flush(&mut self, grid: TileGridId, prims: &[u32]) {
+    /// the screen tiles of tile grid `grid` (index `y * grids_x + x`).
+    fn process_tgc_flush(&mut self, grid: u32, prims: &[u32]) {
         let g = self.cfg.tile_grid_tiles;
+        let grids_x = self.tiling.grids_x();
+        let (gx, gy) = (grid % grids_x, grid / grids_x);
         for &prim in prims {
             let Some(setup) = self.scratch.setups[prim as usize] else {
                 continue;
@@ -494,10 +515,10 @@ impl Pipeline<'_> {
             };
             // Intersect the primitive's tile rect with this grid's tiles.
             let rect = (
-                x0.max(grid.x * g),
-                x1.min(grid.x * g + g - 1),
-                y0.max(grid.y * g),
-                y1.min(grid.y * g + g - 1),
+                x0.max(gx * g),
+                x1.min(gx * g + g - 1),
+                y0.max(gy * g),
+                y1.min(gy * g + g - 1),
             );
             if rect.0 > rect.1 || rect.2 > rect.3 {
                 continue;
@@ -552,15 +573,15 @@ impl Pipeline<'_> {
         self.stats.tc_insertions += 1;
         self.pending
             .add(Unit::Tc, 1.0 / self.cfg.tc_quads_per_cycle as f64);
-        let tile = q.tile;
-        for flush in self.tc.insert(tile, q) {
+        let tile = q.tile.y * self.tiles_x + q.tile.x;
+        for flush in self.scratch.tc.insert(tile, q) {
             self.process_tc_flush(flush);
         }
     }
 
     /// The heart of the pipeline: one TC-bin flush travels through ZROP
     /// (HET), PROP/QRU (QM), the SMs and CROP, producing one timing batch.
-    fn process_tc_flush(&mut self, flush: Flush<TileId, Quad>) {
+    fn process_tc_flush(&mut self, flush: Flush<Quad>) {
         let mut batch = std::mem::take(&mut self.pending);
         self.stats.tc_flushes += 1;
         if flush.reason == FlushReason::Evicted {
@@ -571,10 +592,8 @@ impl Pipeline<'_> {
         let mut bin = std::mem::take(&mut self.scratch.bin);
         bin.clear();
         if self.variant.het() {
-            let retired_fast_discard = self.cfg.kernel == FragmentKernel::Soa && {
-                let idx = (flush.key.y * self.tiling.tiles_x() + flush.key.x) as usize;
-                self.scratch.retired.get(idx)
-            };
+            let retired_fast_discard = self.cfg.kernel == FragmentKernel::Soa
+                && self.scratch.retired.get(flush.key as usize);
             if retired_fast_discard {
                 // Tile-granularity transmittance check: every pixel of the
                 // tile is terminated, so the whole flush is discarded on
@@ -610,7 +629,7 @@ impl Pipeline<'_> {
         } else {
             bin.extend_from_slice(&flush.items);
         }
-        self.tc.recycle(flush.items);
+        self.scratch.tc.recycle(flush.items);
         if bin.is_empty() {
             self.timer.push(batch);
             self.scratch.bin = bin;
@@ -745,7 +764,7 @@ impl Pipeline<'_> {
     /// (only the *consumption* of the bitset is `Soa`-gated).
     fn note_terminated_pixel(&mut self, x: u32, y: u32) {
         let tid = self.tiling.tile_of_pixel(x, y);
-        let idx = (tid.y * self.tiling.tiles_x() + tid.x) as usize;
+        let idx = (tid.y * self.tiles_x + tid.x) as usize;
         self.scratch.tile_term[idx] += 1;
         let tile_px = self.tiling.tile_px();
         let w = ((tid.x + 1) * tile_px).min(self.color.width()) - tid.x * tile_px;
@@ -775,7 +794,7 @@ impl Pipeline<'_> {
             }
         }
         for &line in &lines[..n] {
-            if !self.crop_cache.access(line, true) {
+            if !self.scratch.crop_cache.access(line, true) {
                 self.memory_fill(line, batch);
             }
         }
@@ -788,7 +807,7 @@ impl Pipeline<'_> {
         let line = (origin.1 / 8) as u64 * blocks_x + (origin.0 / 16) as u64;
         // Address-space tag to keep z lines distinct from color lines in L2.
         let tagged = line | 1 << 62;
-        if !self.z_cache.access(tagged, write) {
+        if !self.scratch.z_cache.access(tagged, write) {
             self.memory_fill(tagged, batch);
         }
     }
@@ -797,7 +816,7 @@ impl Pipeline<'_> {
     fn memory_fill(&mut self, line: u64, batch: &mut WorkBatch) {
         let bytes = self.cfg.cache_line_bytes as f64;
         batch.add(Unit::L2, bytes / self.cfg.l2_bytes_per_cycle as f64);
-        if !self.l2.access(line, false) {
+        if !self.scratch.l2.access(line, false) {
             batch.add(Unit::Dram, bytes / self.cfg.dram_bytes_per_cycle as f64);
         }
     }
@@ -952,6 +971,70 @@ mod tests {
             assert_eq!(reused, fresh.stats, "{v}");
             assert_eq!(color.max_abs_diff(&fresh.color), 0.0, "{v}");
             assert_eq!(ds, fresh.depth_stencil, "{v}");
+        }
+    }
+
+    /// Small splats scattered over a 48×40 viewport, so nine screen tiles
+    /// and many one-tile grids are live at once.
+    fn scattered_splats(n: usize) -> Vec<Splat> {
+        let mut v = stacked_splats(n, 0.6);
+        for (i, s) in v.iter_mut().enumerate() {
+            s.center = Vec2::new(3.0 + (i * 13 % 44) as f32, 3.0 + (i * 7 % 36) as f32);
+            s.conic = (1.0 / 36.0, 0.0, 1.0 / 36.0);
+            s.axis_major = Vec2::new(6.0, 0.0);
+            s.axis_minor = Vec2::new(0.0, 6.0);
+        }
+        v
+    }
+
+    #[test]
+    fn reset_in_place_matches_fresh_draws_across_shapes() {
+        let splats = scattered_splats(120);
+        let pressured = GpuConfig {
+            tc_bins: 8,
+            crop_cache_bytes: 4 * 1024,
+            tgc_bins: 2,
+            tile_grid_tiles: 1,
+            ..cfg()
+        };
+        // One scratch and one target pair across viewport and model
+        // geometry changes in both directions.
+        let steps = [
+            (32, 32, cfg()),
+            (48, 40, pressured.clone()),
+            (32, 32, cfg()),
+            (48, 40, cfg()),
+            (32, 32, pressured.clone()),
+        ];
+        let mut scratch = DrawScratch::default();
+        let mut color = ColorBuffer::new(32, 32, cfg().pixel_format);
+        let mut ds = DepthStencilBuffer::new(32, 32);
+        for (w, h, base) in &steps {
+            for v in PipelineVariant::ALL {
+                for kernel in FragmentKernel::ALL {
+                    let c = GpuConfig {
+                        kernel,
+                        ..base.clone()
+                    };
+                    let fresh = try_draw(&splats, *w, *h, &c, v).unwrap();
+                    if c.tc_bins == pressured.tc_bins && *w == 48 {
+                        assert!(fresh.stats.tc_evictions > 0, "{v}: TC pressure");
+                        assert!(
+                            !v.qm() || fresh.stats.tgc_evictions > 0,
+                            "{v}: TGC pressure"
+                        );
+                    }
+                    color.reset(*w, *h, c.pixel_format);
+                    ds.reset(*w, *h);
+                    let reused =
+                        try_draw_in_place(&splats, &c, v, &mut color, &mut ds, &mut scratch)
+                            .unwrap();
+                    let at = format!("{w}x{h} tc_bins={} {v} {kernel:?}", c.tc_bins);
+                    assert_eq!(reused, fresh.stats, "{at}");
+                    assert_eq!(color.max_abs_diff(&fresh.color), 0.0, "{at}");
+                    assert_eq!(ds, fresh.depth_stencil, "{at}");
+                }
+            }
         }
     }
 

@@ -126,7 +126,7 @@ pub struct TileBinningProbe {
 /// quads coalesce into full warps; at 33 tiles every insertion evicts the
 /// oldest bin and each warp carries a single quad.
 pub fn tile_binning_probe(cfg: &GpuConfig, tiles: u32, rects: u32) -> TileBinningProbe {
-    let mut tc: BinTable<u32, u32> = BinTable::new(cfg.tc_bins, cfg.tc_bin_size);
+    let mut tc: BinTable<u32> = BinTable::new(cfg.tc_bins, cfg.tc_bin_size);
     let quads_per_warp = cfg.quads_per_warp() as u64;
     let mut warps = 0u64;
     let mut count_flush = |items: usize| {

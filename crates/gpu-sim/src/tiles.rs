@@ -106,6 +106,19 @@ impl Tiling {
         self.tiles_x() as usize * self.tiles_y() as usize
     }
 
+    /// Number of tile grids horizontally (the stride of tile-grid
+    /// indices `y * grids_x + x`).
+    #[inline]
+    pub fn grids_x(&self) -> u32 {
+        self.tiles_x().div_ceil(self.grid_tiles)
+    }
+
+    /// Total tile-grid count.
+    #[inline]
+    pub fn grid_count(&self) -> usize {
+        self.grids_x() as usize * self.tiles_y().div_ceil(self.grid_tiles) as usize
+    }
+
     /// The screen tile containing pixel `(x, y)`.
     #[inline]
     pub fn tile_of_pixel(&self, x: u32, y: u32) -> TileId {
@@ -200,6 +213,7 @@ mod tests {
         let tile = t.tile_of_pixel(100, 200);
         assert_eq!(tile, TileId { x: 6, y: 12 });
         assert_eq!(t.grid_of_tile(tile), TileGridId { x: 1, y: 3 });
+        assert_eq!((t.grids_x(), t.grid_count()), (4, 16));
     }
 
     #[test]

@@ -196,13 +196,6 @@ pub const BUILTIN_ALLOWS: &[BuiltinAllow] = &[
     },
     BuiltinAllow {
         rule: Rule::VL03,
-        path: "crates/gpu-sim/src/binning.rs",
-        ident: "HashMap",
-        reason: "keyed access only; flush/eviction order comes from the FIFO `order` \
-                 queue, never from map iteration",
-    },
-    BuiltinAllow {
-        rule: Rule::VL03,
         path: "crates/gpu-sim/src/microbench.rs",
         ident: "HashSet",
         reason: "membership-dedup in a seeded measurement probe; no iteration order \
